@@ -42,7 +42,7 @@ from repro.mp.shm import RingFull, ShmRing
 from repro.mp.worker import worker_main
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.serve.admission import AdmissionController
-from repro.serve.coalescer import coalesce, coalesce_key
+from repro.serve.coalescer import coalesce
 from repro.serve.metrics import ServingMetrics
 from repro.serve.request import ServeRequest
 from repro.serve.server import ServeConfig
@@ -520,7 +520,8 @@ class MpTpuServer:
         alive = self._alive_workers()
         if not alive:
             return None
-        key = coalesce_key(group[0].request)
+        # Set by coalesce(); the parent never lowers, so B never changes.
+        key = group[0].coalesce_key
         if key is not None:
             wid = self._routes.get(key)
             if wid is not None and self._workers[wid].alive:

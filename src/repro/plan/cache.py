@@ -17,6 +17,7 @@ plan serves a whole coalesced group.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 from collections import OrderedDict
 from typing import Dict, Optional
@@ -29,8 +30,13 @@ from repro.plan.compiled import CompiledPlan
 DEFAULT_MAX_ENTRIES = 128
 
 
+@functools.lru_cache(maxsize=64)
 def _dataclass_digest(obj) -> str:
-    """Stable one-line digest of a frozen config dataclass."""
+    """Stable one-line digest of a frozen config dataclass.
+
+    Memoized: the configs are frozen and hashable, and every
+    :func:`plan_signature` call digests the same two of them.
+    """
     pairs = sorted(dataclasses.asdict(obj).items())
     return ",".join(f"{k}={v!r}" for k, v in pairs)
 

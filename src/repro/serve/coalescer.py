@@ -54,6 +54,16 @@ def coalesce_key(request: OperationRequest) -> Optional[Tuple]:
     return (a.shape, b.shape, digest, request.attrs.get("gemm_chunks"))
 
 
+def _memo_key(sreq: ServeRequest) -> Optional[Tuple]:
+    """:func:`coalesce_key`, recomputed only when the B operand changed."""
+    inputs = sreq.request.inputs
+    b = inputs[1] if len(inputs) == 2 else None
+    if b is None or b is not sreq.key_operand:
+        sreq.coalesce_key = coalesce_key(sreq.request)
+        sreq.key_operand = b
+    return sreq.coalesce_key
+
+
 def coalesce(
     sreqs: Sequence[ServeRequest], max_group: int = 16
 ) -> List[List[ServeRequest]]:
@@ -62,13 +72,15 @@ def coalesce(
     Groups are ordered by their first member's arrival; non-eligible
     requests become singleton groups.  ``max_group`` bounds lowering
     working-set size (the stacked operand is ``group × data`` rows).
+    Each request's key is memoized on it (``ServeRequest.coalesce_key``),
+    so a preempted request is not re-hashed on every pass.
     """
     if max_group < 1:
         raise ValueError(f"max_group must be >= 1, got {max_group}")
     groups: List[List[ServeRequest]] = []
     open_by_key: Dict[Tuple, List[ServeRequest]] = {}
     for sreq in sreqs:
-        key = coalesce_key(sreq.request)
+        key = _memo_key(sreq)
         if key is None:
             groups.append([sreq])
             continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from repro.runtime.opqueue import LoweredOperation, OperationRequest
 
@@ -47,7 +47,8 @@ class ServeRequest:
     retries: int = 0
     #: Dispatch groups still in flight (set at launch).
     outstanding: int = 0
-    #: Lowered form, attached by the dispatch loop.
+    #: Lowered form, attached by the dispatch loop and kept across
+    #: preemption (no group started, so nothing consumed it).
     op: Optional[LoweredOperation] = None
     #: Row-merge buffer when the request was sharded across devices
     #: (:mod:`repro.shard.merge`); the last completing segment finalizes
@@ -55,6 +56,11 @@ class ServeRequest:
     merge: Optional["MergeBuffer"] = None
     #: Set once the request failed; siblings still queued are dropped.
     failed: bool = field(default=False)
+    #: Memoized :func:`repro.serve.coalescer.coalesce_key` and the model
+    #: operand *B* it hashed; valid while ``request.inputs[1]`` is still
+    #: that array (lowering swaps in a float64 copy once).
+    coalesce_key: Optional[Tuple] = None
+    key_operand: Any = None
 
     def expired(self, now: float) -> bool:
         """True when the deadline has passed at monotonic instant *now*."""

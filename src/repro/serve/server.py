@@ -414,15 +414,16 @@ class TpuServer:
         """Yank queued lower-tier groups ahead of an urgent batch.
 
         Only requests whose every dispatch group is still queued (nothing
-        started) are preempted; victims are un-coalesced, their lowering
-        state reset, and re-admitted through :meth:`AdmissionController.
-        requeue` — an admitted request is never rejected on its way back.
+        started) are preempted; victims are un-coalesced and re-admitted
+        through :meth:`AdmissionController.requeue` — an admitted request
+        is never rejected on its way back.  A victim keeps its lowered
+        op: nothing ran on a device, so the op is untouched and the next
+        launch reuses it instead of lowering again.
         """
         if self.pool.in_flight == 0:
             return
         urgent = min(s.priority for s in batch if not s.failed)
         for sreq in self.pool.preempt(urgent):
-            sreq.op = None
             sreq.outstanding = 0
             sreq.merge = None
             sreq.preemptions += 1
@@ -434,27 +435,31 @@ class TpuServer:
 
     def _lower_and_launch(self, group: List[ServeRequest]) -> None:
         live = [s for s in group if not s.failed]
-        if not live:
-            return
+        # Preempted members still hold their op; lower only the fresh ones.
+        fresh = [s for s in live if s.op is None]
         try:
-            if len(live) > 1:
+            if len(fresh) > 1:
                 ops = self.tensorizer.lower_gemm_coalesced(
-                    [s.request for s in live]
+                    [s.request for s in fresh]
                 )
                 self.metrics.coalesce_groups += 1
-                self.metrics.coalesced_requests += len(live)
+                self.metrics.coalesced_requests += len(fresh)
             else:
-                ops = [self.tensorizer.lower(live[0].request)]
+                ops = [self.tensorizer.lower(s.request) for s in fresh]
         except Exception as exc:  # lowering bugs must not kill the loop
-            for sreq in live:
+            for sreq in fresh:
                 if sreq.reject(ServingError(f"lowering failed: {exc}")):
                     self.metrics.failed += 1
-            return
-        for sreq, op in zip(live, ops):
-            self._launch(sreq, op)
+        else:
+            for sreq, op in zip(fresh, ops):
+                sreq.op = op
+        # Launch in the group's order: it fixes device-queue order.
+        for sreq in live:
+            if not sreq.failed:
+                self._launch(sreq)
 
-    def _launch(self, sreq: ServeRequest, op: Any) -> None:
-        sreq.op = op
+    def _launch(self, sreq: ServeRequest) -> None:
+        op = sreq.op
         groups = build_dispatch_groups(op.instrs, self.config.policy, tracer=self.tracer)
         if not groups:
             # Nothing to execute on-device (degenerate op): deliver now,

@@ -159,6 +159,22 @@ class TestSignature:
             config=dataclasses.replace(self.config, matrix_unit_dim=64),
         )
 
+    def test_config_digests_follow_value_not_identity(self):
+        # The option/config digests are memoized; equal but distinct
+        # configs must share them, and any changed field must not.
+        twin = TensorizerOptions()
+        assert twin is not self.options and twin == self.options
+        base = self._sig(_request())
+        assert self._sig(_request(), options=twin) == base
+        for change in (
+            {"arithmetic_tile": 64},
+            {"scaling_rule": "formula"},
+            {"vectorized": False},
+        ):
+            changed = dataclasses.replace(self.options, **change)
+            assert self._sig(_request(), options=changed) != base
+        assert self._sig(_request()) == base
+
     def test_per_channel_scale_attrs_distinguish(self):
         # conv2D_nn carries per-output-channel quant params; two layers
         # with different calibration vectors must never share a plan.

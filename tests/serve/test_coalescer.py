@@ -227,3 +227,80 @@ class TestCoalescedLowering:
             assert got.tobytes() == want.tobytes()
             # The lowered stream stays per-request (demultiplexed).
             assert op.request is request
+
+
+def _typed_gemm(a, b):
+    """A GEMM request whose operands keep their own dtypes."""
+    return OperationRequest(
+        task_id=1,
+        opcode=Opcode.CONV2D,
+        inputs=(a, b),
+        quant=QuantMode.SCALE,
+        attrs={"gemm": True},
+    )
+
+
+class TestKeyMemo:
+    """coalesce() memoizes each request's key while its B is unchanged."""
+
+    def test_rehashes_only_when_lowering_swaps_operands(self, monkeypatch):
+        import repro.serve.coalescer as coalescer
+
+        calls = []
+
+        def counting(request):
+            calls.append(request)
+            return coalesce_key(request)
+
+        monkeypatch.setattr(coalescer, "coalesce_key", counting)
+        rng = np.random.default_rng(5)
+        b = rng.normal(size=(8, 8)).astype(np.float32)
+        sreqs = [
+            _sreq(i, _typed_gemm(rng.normal(size=(8, 8)).astype(np.float32), b))
+            for i in range(3)
+        ]
+        coalesce(sreqs)
+        assert len(calls) == 3
+        coalesce(sreqs)
+        assert len(calls) == 3
+        # A first lowering replaces the operands with float64 copies.
+        Tensorizer._normalize_inputs(sreqs[1].request)
+        groups = coalesce(sreqs)
+        assert len(calls) == 4
+        # float32 and float64 B bytes differ, so the lowered one splits off.
+        assert [[s.serve_id for s in g] for g in groups] == [[0, 2], [1]]
+
+    @given(
+        members=st.lists(
+            st.tuples(
+                st.integers(0, 2),  # which model operand
+                st.sampled_from([np.float32, np.float64]),
+                st.sampled_from([4, 8]),  # data rows
+                st.booleans(),  # normalized by an earlier lowering
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        max_group=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_memo_partition_matches_recomputed_keys(self, members, max_group):
+        rng = np.random.default_rng(0)
+        bases = [rng.integers(-8, 8, size=(8, 8)) for _ in range(3)]
+        shared = {}
+        sreqs = []
+        for i, (which, dtype, rows, _) in enumerate(members):
+            b = shared.setdefault((which, dtype), bases[which].astype(dtype))
+            a = rng.integers(-8, 8, size=(rows, 8)).astype(dtype)
+            sreqs.append(_sreq(i, _typed_gemm(a, b)))
+        coalesce(sreqs, max_group)  # first pass fills every memo
+        for sreq, (*_, normalized) in zip(sreqs, members):
+            if normalized:
+                Tensorizer._normalize_inputs(sreq.request)
+        memo = coalesce(sreqs, max_group)
+        fresh = coalesce([_sreq(s.serve_id, s.request) for s in sreqs], max_group)
+        assert [[s.serve_id for s in g] for g in memo] == [
+            [s.serve_id for s in g] for g in fresh
+        ]
+        for sreq in sreqs:
+            assert sreq.coalesce_key == coalesce_key(sreq.request)

@@ -1,14 +1,16 @@
 """Sustained open-loop serving: EDF, shedding, preemption, determinism."""
 
 import asyncio
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.edgetpu.isa import Opcode
-from repro.errors import LoadShed, QueueFull
+from repro.errors import LoadShed, QueueFull, ServingError
 from repro.host.platform import Platform
 from repro.runtime.opqueue import OperationRequest, QuantMode
+from repro.runtime.tensorizer import Tensorizer
 from repro.serve import (
     ServeConfig,
     SloPolicy,
@@ -17,6 +19,7 @@ from repro.serve import (
     run_sustained,
 )
 from repro.serve.admission import AdmissionController
+from repro.serve.coalescer import coalesce
 from repro.serve.dispatcher import DevicePool, DispatchWork
 from repro.serve.metrics import ServingMetrics
 from repro.serve.request import ServeRequest
@@ -173,6 +176,156 @@ class TestSustainedRuns:
         # Active joules = busy seconds x 1.2 W across tiers.
         busy = sum(t["busy_seconds"] for t in result.tier_table.values())
         assert result.energy["active_joules"] == pytest.approx(busy * 1.2)
+
+
+class TestOverloadGoldenDigests:
+    """Preemption-heavy overload: outcome digests pinned, and every
+    admitted request lowered once however often it is preempted."""
+
+    @pytest.mark.parametrize(
+        "seed, digest, outcomes, preemptions",
+        [
+            (
+                11,
+                "1675651f373afa78e6a111dc7256aaffbf693239db97a67b7770a573e2917ac5",
+                {"D": 398, "T": 2},
+                1817,
+            ),
+            (
+                12,
+                "e3571cba8cc7ae7774008d50f613fa3bfbfdbc2a5d6e9272c1a71a0f0097cbb7",
+                {"D": 394, "T": 6},
+                1500,
+            ),
+        ],
+    )
+    def test_digest_pinned_and_each_request_lowered_once(
+        self, monkeypatch, seed, digest, outcomes, preemptions
+    ):
+        tensorizers = []
+        init = Tensorizer.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            tensorizers.append(self)
+
+        monkeypatch.setattr(Tensorizer, "__init__", recording_init)
+        result = run_sustained(
+            SustainedSpec(
+                requests=400,
+                rate=60.0,
+                seed=seed,
+                burst=10,
+                ticks=2,
+                integrity="abft",
+                shard="off",
+                tier_shares={"gold": 0.2, "silver": 0.3, "bronze": 0.5},
+            )
+        )
+        assert result.violations == []
+        assert result.digest == digest
+        assert result.outcomes == outcomes
+        assert result.snapshot["preemptions"] == preemptions
+        counts = result.snapshot["outcomes"]
+        admitted = counts["submitted"] - counts["shed"] - counts["rejected"]
+        lowered = sum(t.stats.operations_lowered for t in tensorizers)
+        assert 0 < lowered <= admitted
+
+
+class TestRequeueKeepsOp:
+    """A preempted request relaunches with the op it was lowered to."""
+
+    @staticmethod
+    def _server():
+        return TpuServer(
+            Platform.with_tpus(2), ServeConfig(time_scale=0.0, shard="off")
+        )
+
+    @staticmethod
+    def _gemm(serve_id, b, priority):
+        rng = np.random.default_rng(serve_id)
+        request = OperationRequest(
+            task_id=serve_id,
+            opcode=Opcode.CONV2D,
+            inputs=(rng.integers(-64, 64, size=(32, 32)).astype(b.dtype), b),
+            quant=QuantMode.SCALE,
+            attrs={"gemm": True, "gemm_chunks": 1},
+            input_name=f"serve{serve_id}",
+        )
+        return ServeRequest(
+            serve_id=serve_id,
+            tenant="t",
+            request=request,
+            future=asyncio.get_running_loop().create_future(),
+            submitted=0.0,
+            priority=priority,
+        )
+
+    def _preempt(self, server, victims):
+        """Launch *victims* as one group, then preempt them all."""
+        server._lower_and_launch(victims)
+        urgent = self._gemm(99, victims[0].request.inputs[1], priority=0)
+        server._maybe_preempt([urgent])
+        assert all(s.preemptions == 1 for s in victims)
+        assert server.pool.in_flight == 0
+        requeued = server.admission.drain(8)
+        assert sorted(s.serve_id for s in requeued) == [s.serve_id for s in victims]
+        return requeued
+
+    def test_relaunch_reuses_op_and_delivers_solo_bytes(self):
+        async def scenario():
+            server = self._server()
+            server.pool.start()
+            b = np.random.default_rng(0).integers(-64, 64, (32, 32)).astype(np.float32)
+            victims = [self._gemm(i, b, priority=2) for i in (1, 2)]
+            solo = [
+                Tensorizer().lower(dataclasses.replace(s.request)).result
+                for s in victims
+            ]
+            requeued = self._preempt(server, victims)
+            ops = [s.op for s in victims]
+            lowered = server.tensorizer.stats.operations_lowered
+            assert lowered == 2
+            for group in coalesce(requeued):
+                server._lower_and_launch(group)
+            assert all(s.op is op for s, op in zip(victims, ops))
+            assert server.tensorizer.stats.operations_lowered == lowered
+            delivered = [await s.future for s in victims]
+            await server.pool.stop()
+            for got, want in zip(delivered, solo):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+        asyncio.run(scenario())
+
+    def test_lowering_failure_rejects_only_fresh_members(self, monkeypatch):
+        async def scenario():
+            server = self._server()
+            server.pool.start()
+            # float64 B survives lowering as the same array, so the kept
+            # request still coalesces with fresh ones sharing it.
+            b = np.random.default_rng(0).integers(-64, 64, (32, 32)).astype(np.float64)
+            kept = self._gemm(1, b, priority=2)
+            self._preempt(server, [kept])
+            op = kept.op
+            fresh = [self._gemm(i, b, priority=2) for i in (3, 4)]
+            (group,) = coalesce([fresh[0], kept, fresh[1]])
+
+            def broken(requests):
+                raise RuntimeError("injected lowering fault")
+
+            monkeypatch.setattr(server.tensorizer, "lower_gemm_coalesced", broken)
+            server._lower_and_launch(group)
+            assert server.metrics.failed == 2
+            for sreq in fresh:
+                assert sreq.failed and sreq.op is None
+                with pytest.raises(ServingError, match="lowering failed"):
+                    await sreq.future
+            assert kept.op is op and not kept.failed
+            delivered = await kept.future
+            await server.pool.stop()
+            assert np.asarray(delivered).tobytes() == np.asarray(op.result).tobytes()
+
+        asyncio.run(scenario())
 
 
 class TestShedAccounting:
