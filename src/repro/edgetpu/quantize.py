@@ -14,6 +14,7 @@ implemented by :func:`operator_output_scale`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -56,15 +57,18 @@ def params_for_range(max_abs: float) -> QuantParams:
     all-zero range quantizes with ``f = 1`` (any scale represents zeros
     exactly).
     """
-    if not np.isfinite(max_abs) or max_abs < 0:
+    return QuantParams(scale=scale_for_range(max_abs))
+
+
+def scale_for_range(max_abs: float) -> float:
+    """The scale of :func:`params_for_range`, as a bare float."""
+    if not math.isfinite(max_abs) or max_abs < 0:
         raise QuantizationError(f"max_abs must be finite and >= 0, got {max_abs}")
     if max_abs == 0.0:
-        return QuantParams(scale=1.0)
+        return 1.0
     scale = QMAX / max_abs
-    if not np.isfinite(scale):
-        # Denormal-range data is indistinguishable from zero at 8 bits.
-        return QuantParams(scale=1.0)
-    return QuantParams(scale=scale)
+    # Denormal-range data is indistinguishable from zero at 8 bits.
+    return scale if math.isfinite(scale) else 1.0
 
 
 def params_for_data(data: np.ndarray) -> QuantParams:

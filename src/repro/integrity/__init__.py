@@ -42,7 +42,7 @@ from repro.integrity.abft import (
     tile_checksums,
     verify_tile,
 )
-from repro.integrity.plan import IntegrityPlan, TileCheck, make_exact_check, make_gemm_check
+from repro.integrity.plan import IntegrityPlan, TileCheck, make_exact_check, make_gemm_checks
 from repro.integrity.quarantine import QuarantineManager
 from repro.integrity.verifier import GroupVerdict, IntegrityVerifier, TileVerdict
 
@@ -60,7 +60,7 @@ __all__ = [
     "TileVerdict",
     "checksum_tolerance",
     "make_exact_check",
-    "make_gemm_check",
+    "make_gemm_checks",
     "tile_checksums",
     "verify_tile",
 ]

@@ -43,14 +43,20 @@ TOLERANCE_QUANTA = 0.5
 _FLOAT_SLACK = 1e-9
 
 
-def checksum_tolerance(summed_elements: int, sums: np.ndarray) -> float:
-    """Detection threshold for sums over *summed_elements* clean values.
+def tolerance_for(summed_elements, magnitude):
+    """Detection threshold for sums over *summed_elements* clean values
+    whose largest ``|sum|`` is *magnitude* (scalars or arrays).
 
     ``0.5`` quanta of rounding per element, plus relative float slack
     proportional to the largest checksum magnitude.
     """
+    return TOLERANCE_QUANTA * summed_elements + _FLOAT_SLACK * (1.0 + magnitude)
+
+
+def checksum_tolerance(summed_elements: int, sums: np.ndarray) -> float:
+    """:func:`tolerance_for` one tile's checksum vector *sums*."""
     mag = float(np.max(np.abs(sums))) if sums.size else 0.0
-    return TOLERANCE_QUANTA * summed_elements + _FLOAT_SLACK * (1.0 + mag)
+    return tolerance_for(summed_elements, mag)
 
 
 def tile_checksums(tile: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -12,11 +12,11 @@ allocation-free (the overhead-guard test pins this).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.integrity.abft import checksum_tolerance, tile_checksums
+from repro.integrity.abft import checksum_tolerance, tile_checksums, tolerance_for
 
 
 @dataclass(frozen=True)
@@ -62,55 +62,68 @@ class TileCheck:
         )
 
 
-def make_gemm_check(
-    label: str,
-    rows: Tuple[int, int],
-    cols: Tuple[int, int],
+def make_gemm_checks(
+    pieces: Sequence[Tuple[str, Tuple[int, int], Tuple[int, int]]],
     q: np.ndarray,
-    out_scale: float,
-    acc_row_sums: Optional[np.ndarray],
-    acc_col_sums: Optional[np.ndarray],
-    rescale: float,
-) -> TileCheck:
-    """Build the check for one GEMM chunk×kernel-batch piece.
+    acc_sums: Tuple[np.ndarray, np.ndarray],
+    q_sums: Optional[Tuple[np.ndarray, np.ndarray]],
+    rescale: np.ndarray,
+    out_scales: np.ndarray,
+    exact: Sequence[bool],
+    row_starts: np.ndarray,
+    heights: np.ndarray,
+    col_starts: np.ndarray,
+    widths: np.ndarray,
+) -> List[TileCheck]:
+    """Build the checks for a grid of GEMM pieces in one pass.
 
-    *q* is the requantized strip slice (float64 holding exact int8
-    values).  When accumulator sums are available (non-saturating
-    strip), the checksums are ABFT sums — ``rescale *`` the exact
-    accumulator row/column sums — with the half-quantum-per-element
-    tolerance.  A saturating strip passes ``None`` sums and falls back
-    to exact post-clip checksums of *q* itself.
+    *q* is a requantized ``(R, K)`` row block (float64 holding exact int8
+    values) cut into G row chunks (*row_starts*, *heights*) and B kernel
+    batches (*col_starts*, *widths*).  *acc_sums* holds the exact
+    accumulator's per-batch row sums ``(R, B)`` and per-chunk column sums
+    ``(G, K)``, taken before requantization; *rescale* and *out_scales*
+    are ``(G, B)``.  The checksums are ABFT sums — ``rescale *`` the
+    accumulator sums — with the half-quantum-per-element tolerance,
+    except for the chunks flagged in *exact* (strips that may saturate):
+    clipping breaks the linear relation, so those fall back to exact
+    post-clip checksums of *q* itself, *q_sums* (same layout as
+    *acc_sums*; ``None`` when no chunk is flagged).
+
+    *pieces* gives each (chunk, batch) piece's label and its row/column
+    ranges in result coordinates, chunk-major.  Returned checks come in
+    the same order and hold views of the block's arrays.
     """
+    row_sums = acc_sums[0] * rescale.repeat(heights, axis=0)
+    col_sums = acc_sums[1] * rescale.repeat(widths, axis=1)
+    if q_sums is not None:
+        flags = np.asarray(exact)
+        row_sums = np.where(flags.repeat(heights)[:, None], q_sums[0], row_sums)
+        col_sums = np.where(flags[:, None], q_sums[1], col_sums)
+    row_mags = np.maximum.reduceat(np.abs(row_sums), row_starts, axis=0).tolist()
+    col_mags = np.maximum.reduceat(np.abs(col_sums), col_starts, axis=1).tolist()
     expected = q.astype(np.int8)
-    nrows, ncols = expected.shape
-    if acc_row_sums is None or acc_col_sums is None:
-        row_sums, col_sums = tile_checksums(q)
-        return TileCheck(
-            label=label,
-            rows=rows,
-            cols=cols,
-            expected=expected,
-            out_scale=out_scale,
-            row_sums=row_sums,
-            col_sums=col_sums,
-            row_tol=checksum_tolerance(0, row_sums),
-            col_tol=checksum_tolerance(0, col_sums),
-            exact=True,
-        )
-    row_sums = np.asarray(acc_row_sums, dtype=np.float64) * rescale
-    col_sums = np.asarray(acc_col_sums, dtype=np.float64) * rescale
-    return TileCheck(
-        label=label,
-        rows=rows,
-        cols=cols,
-        expected=expected,
-        out_scale=out_scale,
-        row_sums=row_sums,
-        col_sums=col_sums,
-        row_tol=checksum_tolerance(ncols, row_sums),
-        col_tol=checksum_tolerance(nrows, col_sums),
-        exact=False,
-    )
+    spans = list(zip(col_starts.tolist(), widths.tolist()))
+    checks = []
+    pieces = iter(pieces)
+    for g, (r0, nrows, flag, scales) in enumerate(
+        zip(row_starts.tolist(), heights.tolist(), exact, out_scales.tolist())
+    ):
+        r1 = r0 + nrows
+        for bi, (c0, ncols) in enumerate(spans):
+            label, rows, cols = next(pieces)
+            checks.append(TileCheck(
+                label=label,
+                rows=rows,
+                cols=cols,
+                expected=expected[r0:r1, c0 : c0 + ncols],
+                out_scale=scales[bi],
+                row_sums=row_sums[r0:r1, bi],
+                col_sums=col_sums[g, c0 : c0 + ncols],
+                row_tol=tolerance_for(0 if flag else ncols, row_mags[g][bi]),
+                col_tol=tolerance_for(0 if flag else nrows, col_mags[g][bi]),
+                exact=flag,
+            ))
+    return checks
 
 
 def make_exact_check(

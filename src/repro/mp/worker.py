@@ -25,6 +25,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.errors import ModelFormatError
 from repro.host.platform import Platform
 from repro.mp.messages import (
     TERMINAL_EVENTS,
@@ -83,8 +84,9 @@ def _ship_new_plans(state: _WorkerState) -> None:
             state.shipped_plans.add(plan.signature)
             try:
                 fresh.append((plan.signature, serialize_plan(plan)))
-            except Exception:
-                pass  # non-serializable plan shapes stay worker-local
+            except ModelFormatError:
+                # A plan the §3.3 layout cannot carry stays worker-local.
+                state.server.metrics.plan_ship_failed += 1
     if fresh:
         state.outbox.send(("plans", fresh))
 
@@ -127,7 +129,8 @@ def _warm_plans(state: _WorkerState, blobs: List[bytes]) -> None:
     for blob in blobs:
         try:
             plan = parse_plan(blob)
-        except Exception:
+        except ModelFormatError:
+            state.server.metrics.plan_parse_failed += 1
             continue
         state.shipped_plans.add(plan.signature)
         if cache.peek(plan.signature) is None:

@@ -37,10 +37,12 @@ Two execution strategies produce that functional result:
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -63,11 +65,12 @@ from repro.edgetpu.quantize import (
     quantize,
     quantize_batched,
     requantize_batched,
+    scale_for_range,
     scales_for_ranges,
 )
 from repro.edgetpu.timing import TimingModel
 from repro.host.cpu import CPUCoreModel
-from repro.integrity.plan import IntegrityPlan, make_exact_check, make_gemm_check
+from repro.integrity.plan import IntegrityPlan, make_exact_check, make_gemm_checks
 from repro.plan.cache import PlanCache, plan_signature
 from repro.plan.compiled import (
     KIND_GEMM,
@@ -103,10 +106,134 @@ MODEL_OVERHEAD_BYTES = HEADER_SIZE + 12
 #: iterative apps), but pathological streams must not grow without bound.
 _QUANT_CACHE_MAX = 65536
 
-#: Conv2D-GEMM scratch-buffer LRU bound.  A serving mix alternating
-#: between a few GEMM geometries keeps each one's ~tens-of-MB buffers
-#: resident; anything beyond a handful of live geometries is churn.
-_GEMM_SCRATCH_SLOTS = 4
+#: Float64 copies of non-float64 GEMM model operands kept across calls
+#: (serving reuses a handful of weight matrices).
+_MODEL_COPY_SLOTS = 16
+
+#: Memoized scratch-view sets (one per group shape; a few small objects).
+_GEMM_VIEW_SLOTS = 256
+
+#: Byte budget of one conv2D-GEMM row block (float64 strip).  Serving
+#: groups fit in one block — one set of NumPy calls per group — while a
+#: large GEMM is processed in whole-chunk blocks that stay cache-resident.
+_GEMM_BLOCK_BYTES = 1 << 20
+
+
+def _scale_for_extrema(hi: float, lo: float) -> float:
+    """Quantization scale of data whose maximum is *hi* and minimum *lo*.
+
+    ``max|x| == max(max, -min)``; a NaN anywhere makes both reductions
+    NaN and ±inf survives negation, so the fold catches non-finite data.
+    """
+    max_abs = max(hi, -lo)
+    if not math.isfinite(max_abs):
+        raise QuantizationError("data contains non-finite values")
+    return scale_for_range(max_abs)
+
+
+def _segments(sizes: np.ndarray, even: bool):
+    """``(split, repeat, onehot)`` of consecutive segments of *sizes*.
+
+    Equal segments split an axis as (segments, size), so a per-segment
+    factor broadcasts as a scalar; unequal ones as (elements, 1), with
+    factors repeated per element.  Integer data times the (elements,
+    segments) ``onehot`` sums each segment exactly, on BLAS.
+    """
+    split = (len(sizes), int(sizes[0])) if even else (int(sizes.sum()), 1)
+    ids = np.arange(len(sizes))
+    onehot = (ids.repeat(sizes)[:, None] == ids).astype(np.float64)
+    return split, None if even else sizes, onehot
+
+
+def _spread(factors: np.ndarray, blk: "_RowBlock", lay: "_GemmLayout") -> np.ndarray:
+    """Per-piece ``(chunks, batches)`` factors broadcastable against a row
+    block viewed as ``blk.split + lay.split``."""
+    if lay.repeat is not None:
+        factors = factors.repeat(lay.repeat, axis=1)
+    if blk.repeat is not None:
+        factors = factors.repeat(blk.repeat, axis=0)
+    return factors[:, None, :, None]
+
+
+def _extrema(view: np.ndarray, blk: "_RowBlock", col_cuts) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-piece (max, min) of a row block viewed as ``blk.split + (batches,
+    cols)``.  Max and min are exact in any order, so the pieces reduce
+    through the fastest view; an unevenly split axis (one element per
+    segment) is then folded per segment."""
+    if view.shape[2] == 1:
+        hi, lo = view.max(axis=(1, 3)), view.min(axis=(1, 3))
+    else:
+        hi, lo = view.max(axis=1).max(axis=2), view.min(axis=1).min(axis=2)
+    if col_cuts is not None:
+        hi = np.maximum.reduceat(hi, col_cuts, axis=1)
+        lo = np.minimum.reduceat(lo, col_cuts, axis=1)
+    if blk.repeat is not None:
+        hi, lo = np.maximum.reduceat(hi, blk.local), np.minimum.reduceat(lo, blk.local)
+    return hi, lo
+
+
+class _RowBlock(NamedTuple):
+    """Whole chunks ``[g0, g1)`` of a GEMM group: stacked rows ``[r0, r1)``."""
+
+    g0: int
+    g1: int
+    r0: int
+    r1: int
+    local: np.ndarray  # chunk starts relative to r0
+    heights: np.ndarray
+    split: Tuple[int, int]  # _segments of the chunks; onehot is (chunks, rows)
+    repeat: Optional[np.ndarray]
+    onehot: np.ndarray
+    pieces: list  # (label, rows, cols) per (chunk, batch) piece
+    owners: list  # member index per piece
+
+
+class _GemmLayout:
+    """Shape-only facts of lowering one GEMM group: the chunk table over
+    the stacked rows, the row blocks and the piece labels."""
+
+    def __init__(self, n_req: int, m: int, n: int, k: int, h: int, batch: int) -> None:
+        chunk_starts = np.arange(0, m, h)
+        chunk_heights = np.minimum(h, m - chunk_starts)
+        self.col_starts = np.arange(0, k, batch)
+        self.widths = np.minimum(batch, k - self.col_starts)
+        self.n_rows, self.n_cols = len(chunk_starts), len(self.col_starts)
+        self.split, self.repeat, self.onehot = _segments(
+            self.widths, k % batch == 0 or self.n_cols == 1
+        )
+        self.col_cuts = None if self.repeat is None else self.col_starts
+        labels = [
+            [
+                (f"convGEMM:r{c0}:k{j0}", (c0, c0 + hh), (j0, j0 + w))
+                for j0, w in zip(self.col_starts.tolist(), self.widths.tolist())
+            ]
+            for c0, hh in zip(chunk_starts.tolist(), chunk_heights.tolist())
+        ]
+        self.labels = [piece for row in labels for piece in row]
+        # Chunk g of the stack is member g // n_rows's chunk g % n_rows.
+        starts = (np.arange(0, n_req * m, m)[:, None] + chunk_starts).ravel()
+        heights = np.tile(chunk_heights, n_req)
+        bounds = starts.tolist() + [n_req * m]
+        per_block = max(1, _GEMM_BLOCK_BYTES // (8 * h * max(n, k)))
+        self.blocks = []
+        for g0 in range(0, len(starts), per_block):
+            g1 = min(g0 + per_block, len(starts))
+            split, repeat, onehot = _segments(heights[g0:g1], m % h == 0 or g1 - g0 == 1)
+            self.blocks.append(_RowBlock(
+                g0, g1, bounds[g0], bounds[g1], starts[g0:g1] - bounds[g0],
+                heights[g0:g1], split, repeat, np.ascontiguousarray(onehot.T),
+                pieces=[p for g in range(g0, g1) for p in labels[g % self.n_rows]],
+                owners=[g // self.n_rows for g in range(g0, g1) for _ in labels[0]],
+            ))
+        #: Elements of the float64 strip one row block needs.
+        self.strip_elems = max(blk.r1 - blk.r0 for blk in self.blocks) * max(n, k)
+
+
+@functools.lru_cache(maxsize=256)
+def _gemm_layout(n_req: int, m: int, n: int, k: int, h: int, batch: int) -> _GemmLayout:
+    """Memoized :class:`_GemmLayout`: a serving mix meets each (group
+    size, shape) pair it coalesces over and over."""
+    return _GemmLayout(n_req, m, n, k, h, batch)
 
 
 @dataclass(frozen=True)
@@ -232,8 +359,11 @@ class Tensorizer:
         # True while re-running a lowering rule under a cached plan;
         # model builds then bind at zero cost without touching stats.
         self._replaying = False
-        # Keyed LRU of conv2D-GEMM scratch buffers: geometry key -> dict.
-        self._gemm_scratch: "OrderedDict[tuple, dict]" = OrderedDict()
+        # Grow-only conv2D-GEMM scratch pools: name -> flat array.
+        self._gemm_scratch: Dict[str, np.ndarray] = {}
+        self._gemm_views: Dict[tuple, dict] = {}
+        # id(source) -> (weakref to source, snapshot, float64 copy).
+        self._model_copies: "OrderedDict[int, tuple]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # public entry point
@@ -256,10 +386,12 @@ class Tensorizer:
             return lowered
 
     def _lower_impl(self, request: OperationRequest) -> LoweredOperation:
+        gemm = request.opcode is Opcode.CONV2D and request.attrs.get("gemm", False)
+        if gemm:
+            self._share_model_operands([request])
         self._normalize_inputs(request)
         self._global_params = None  # per-operation GLOBAL-params memo
         cache = self.plan_cache
-        gemm = request.opcode is Opcode.CONV2D and request.attrs.get("gemm", False)
         if cache is None or not self.options.vectorized or gemm or request.opcode.is_macro:
             # conv2D-GEMM consults the cache inside its own rule (it has
             # a dedicated fast-replay path reusing the quantized model);
@@ -445,6 +577,38 @@ class Tensorizer:
         for arr in request.inputs:
             assert arr.flags.c_contiguous, "normalized operand must be C-contiguous"
 
+    def _share_model_operands(self, requests: Sequence[OperationRequest]) -> None:
+        """Give conv2D-GEMMs one float64 model operand per source array.
+
+        Serving multiplies many requests by a few (often float32) weight
+        matrices.  Normalizing B per request converted it every time, and
+        the fresh copy never matched a cached plan's model block by
+        identity, so every warm bind hashed B again.  The copy of an array
+        that owns its data is reused while the array still holds the
+        values it was made from (checked exactly against a snapshot, once
+        per call and source), and is held by weak reference, so no
+        caller's array is kept alive.  Views, such as shared-memory ring
+        slots, are fresh per request: they are only converted, once per
+        group.
+        """
+        copies, seen = self._model_copies, {}
+        for request in requests:
+            b = request.inputs[1] if len(request.inputs) == 2 else None
+            if not isinstance(b, np.ndarray) or (b.dtype == np.float64 and b.flags.c_contiguous):
+                continue  # nothing to convert
+            if id(b) not in seen:
+                hit = copies.get(id(b))
+                if hit is not None and hit[0]() is b and np.array_equal(b, hit[1]):
+                    copies.move_to_end(id(b))
+                    seen[id(b)] = hit[2]
+                else:
+                    seen[id(b)] = np.ascontiguousarray(b, dtype=np.float64)
+                    if b.flags.owndata:
+                        copies[id(b)] = (weakref.ref(b), b.copy(), seen[id(b)])
+                        if len(copies) > _MODEL_COPY_SLOTS:
+                            copies.popitem(last=False)
+            request.inputs = (request.inputs[0], seen[id(b)])
+
     def _model_build_seconds(self, elems: int) -> float:
         """Cost of creating one model blob (fast path or TFLite)."""
         if self._replaying:
@@ -500,17 +664,6 @@ class Tensorizer:
         if not np.all(np.isfinite(data)):
             raise QuantizationError("data contains non-finite values")
         return self._params_for_range(float(np.max(np.abs(data))))
-
-    def _chunk_params(self, chunk: np.ndarray) -> QuantParams:
-        """Replay-path :meth:`_params_for_data`: bit-identical params from
-        one max and one min pass (``max|x| == max(max, -min)``, exact in
-        IEEE), without materializing an ``|x|`` temporary.  NaN anywhere
-        makes both reductions NaN and inf survives the fold, so the same
-        inputs are rejected with the same error."""
-        mx = max(float(chunk.max()), -float(chunk.min()))
-        if not math.isfinite(mx):
-            raise QuantizationError("data contains non-finite values")
-        return self._params_for_range(mx)
 
     def _input_params(self, request: OperationRequest, *tiles: np.ndarray) -> QuantParams:
         """Input quantization: per-tile (SCALE) or whole-dataset (GLOBAL)."""
@@ -1229,74 +1382,39 @@ class Tensorizer:
         batch = max(1, optimal_out // rows_per_chunk) if opts.kernel_batching else 1
         return s, rows_per_chunk, batch
 
-    def _gemm_conv2d_instr(
-        self,
-        request: OperationRequest,
-        source: str,
-        c0: int,
-        j0: int,
-        chunk_bytes: int,
-        model_elems: int,
-        exec_seconds: float,
-        out_elems: int,
-        model_source: Optional[str] = None,
-    ) -> LoweredInstr:
-        cache_key = f"{source}:rows{c0}"
-        return LoweredInstr(
-            opcode=Opcode.CONV2D,
-            task_id=request.task_id,
-            group_key=f"task{request.task_id}:{cache_key}",
-            cache_key=cache_key,
-            # The executor transfers the chunk only on a residency miss
-            # (cache_key), so every burst can carry the full chunk size.
-            data_bytes=chunk_bytes,
-            model_bytes=self._model_bytes(model_elems),
-            model_build_seconds=self._model_build_seconds(model_elems),
-            exec_seconds=exec_seconds,
-            out_bytes=out_elems,
-            label=f"convGEMM:r{c0}:k{j0}",
-            # Kernel batches are identical across row chunks: they stay
-            # resident per device instead of being re-streamed for every
-            # chunk.  Coalesced operations share one model source so the
-            # kernels of a common weight matrix also persist *across*
-            # the clients that share it.
-            model_cache_key=f"{model_source or source}:kernels{j0}",
-        )
+    def _gemm_buffers(self, rows: int, n: int, k: int, strip_elems: int) -> dict:
+        """Scratch for one GEMM group (quantized operands, slab products, a
+        float64 row-block strip): views of grow-only pools shared by every
+        call.  Nothing in them outlives a call (a plan's model block copies
+        ``q_b``), so no geometry ever refaults pages, and the pools stay
+        the size of the largest GEMM lowered.  Views are kept per shape
+        until a pool grows."""
+        key = (rows, n, k, strip_elems)
+        views = self._gemm_views.get(key)
+        if views is not None:
+            return views
+        pools = self._gemm_scratch
 
-    def _gemm_scratch_for(
-        self, m: int, n: int, k: int, rows_per_chunk: int, batch: int
-    ) -> dict:
-        """Keyed LRU of conv2D-GEMM scratch buffers.
+        def take(name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+            size = math.prod(shape)
+            if name not in pools or pools[name].size < size:
+                pools[name] = np.empty(size, dtype=dtype)
+                self._gemm_views.clear()  # views of the old pool are stale
+            return pools[name][:size].reshape(shape)
 
-        Scratch (quantized operands, slab products, one strip
-        accumulator) survives between calls of the same geometry —
-        iterative apps re-lower identical shapes every step, and
-        refaulting ~50 MB of pages per call costs more than the
-        arithmetic.  The old single slot thrashed the moment a serving
-        mix *alternated* between two geometries (every call refaulted);
-        a small LRU keeps the few live geometries resident.
-        """
-        key = (m, n, k, rows_per_chunk, batch)
-        sc = self._gemm_scratch.get(key)
-        if sc is not None:
-            self._gemm_scratch.move_to_end(key)
-            return sc
-        strip_h = min(rows_per_chunk, m)
-        sc = {
-            "q_a": np.empty((m, n), dtype=np.float32),
-            "q_b": np.empty((n, k), dtype=np.float32),
-            "tmp_a": np.empty((strip_h, n), dtype=np.float64),
-            "tmp_b": np.empty((n, min(batch, k)), dtype=np.float64),
-            "strip": np.empty((strip_h, k), dtype=np.float64),
+        views = {
+            "q_a": take("q_a", (rows, n), np.float32),
+            "q_b": take("q_b", (n, k), np.float32),
+            "strip": take("strip", (strip_elems,), np.float64),
             "parts": [
-                np.empty((m, k), dtype=np.float32)
-                for _ in functional.f32_slab_starts(n)
+                take(f"part{i}", (rows, k), np.float32)
+                for i, _ in enumerate(functional.f32_slab_starts(n))
             ],
         }
-        self._gemm_scratch[key] = sc
-        while len(self._gemm_scratch) > _GEMM_SCRATCH_SLOTS:
-            self._gemm_scratch.popitem(last=False)
-        return sc
+        if len(self._gemm_views) >= _GEMM_VIEW_SLOTS:
+            self._gemm_views.clear()
+        self._gemm_views[key] = views
+        return views
 
     def _gemm_capture(self, request: OperationRequest, signature: str) -> CompiledPlan:
         """Capture the data-independent half of one conv2D-GEMM lowering.
@@ -1310,55 +1428,42 @@ class Tensorizer:
         a, b = self._require_2d_pair(request)
         if a.shape[1] != b.shape[0]:
             raise TensorizerError(f"GEMM inner dims differ: {a.shape} x {b.shape}")
-        m, n = a.shape
-        k = b.shape[1]
+        (m, n), k = a.shape, b.shape[1]
         s, rows_per_chunk, batch = self._gemm_conv2d_geometry(request, m, n)
-        geometry = GemmGeometry(m=m, n=n, k=k, s=s, rows_per_chunk=rows_per_chunk, batch=batch)
-        templates: List[InstrTemplate] = []
-        checks: List[IntegrityTemplate] = []
+        labels = _gemm_layout(1, m, n, k, rows_per_chunk, batch).labels
+        templates = []
+        for label, (c0, c1), (j0, j1) in labels:
+            out_elems, model_elems = (c1 - c0) * (j1 - j0), (j1 - j0) * s * s
+            templates.append(InstrTemplate(
+                opname=Opcode.CONV2D.opname,
+                label=label,
+                group_key=f"task{TASK_TOKEN}:{SRC_TOKEN}:rows{c0}",
+                cache_key=f"{SRC_TOKEN}:rows{c0}",
+                # Kernel batches are identical across row chunks, so they
+                # stay resident per device; coalesced members share one
+                # model source, so they also persist across clients.
+                model_cache_key=f"{MODEL_SRC_TOKEN}:kernels{j0}",
+                # The executor transfers the chunk only on a residency
+                # miss (cache_key), so every piece carries its full size.
+                data_bytes=(c1 - c0) * s * s,
+                model_bytes=self._model_bytes(model_elems),
+                out_bytes=out_elems,
+                count=1,
+                model_build_seconds=self._model_build_seconds(model_elems),
+                exec_seconds=self.timing.instruction_seconds(
+                    Opcode.CONV2D, out_elems=out_elems, macs=out_elems * s * s
+                ),
+            ))
         integrity_on = self.options.integrity != "off"
-        for c0 in geometry.row_starts:
-            c1 = min(c0 + rows_per_chunk, m)
-            chunk_bytes = (c1 - c0) * s * s
-            cache_key = f"{SRC_TOKEN}:rows{c0}"
-            for j0 in geometry.col_starts:
-                j1 = min(j0 + batch, k)
-                nk = j1 - j0
-                out_elems = (c1 - c0) * nk
-                model_elems = nk * s * s
-                label = f"convGEMM:r{c0}:k{j0}"
-                templates.append(
-                    InstrTemplate(
-                        opname=Opcode.CONV2D.opname,
-                        label=label,
-                        group_key=f"task{TASK_TOKEN}:{cache_key}",
-                        cache_key=cache_key,
-                        model_cache_key=f"{MODEL_SRC_TOKEN}:kernels{j0}",
-                        data_bytes=chunk_bytes,
-                        model_bytes=self._model_bytes(model_elems),
-                        out_bytes=out_elems,
-                        count=1,
-                        model_build_seconds=self._model_build_seconds(model_elems),
-                        exec_seconds=self.timing.instruction_seconds(
-                            Opcode.CONV2D, out_elems=out_elems, macs=out_elems * s * s
-                        ),
-                    )
-                )
-                if integrity_on:
-                    checks.append(
-                        IntegrityTemplate(label=label, rows=(c0, c1), cols=(j0, j1))
-                    )
         return CompiledPlan(
             signature=signature,
             kind=KIND_GEMM,
             opname=Opcode.CONV2D.opname,
-            cpu_seconds=self.cpu.elementwise_seconds(
-                m * s * s + k * s * s, bytes_per_elem=2
-            ),
+            cpu_seconds=self.cpu.elementwise_seconds(m * s * s + k * s * s, bytes_per_elem=2),
             templates=templates,
             integrity_mode=self.options.integrity,
-            integrity=checks,
-            geometry=geometry,
+            integrity=[IntegrityTemplate(*piece) for piece in labels] if integrity_on else [],
+            geometry=GemmGeometry(m=m, n=n, k=k, s=s, rows_per_chunk=rows_per_chunk, batch=batch),
         )
 
     def _lower_gemm_conv2d_scalar(self, request: OperationRequest) -> LoweredOperation:
@@ -1371,22 +1476,16 @@ class Tensorizer:
         lo, hi = data_range(a, b)
 
         result = np.zeros((m, k), dtype=np.float64)
-        instrs: List[LoweredInstr] = []
         saturated = 0
         p_a_global = None
         if request.quant is QuantMode.GLOBAL:
             p_a_global = self._input_params(request, a)
-        # Unique per distinct input so unrelated GEMMs never alias in
-        # on-chip memory (buffer names are unique; bare arrays fall
-        # back to the operation sequence number).
-        source = request.input_name or f"op{self._op_seq}"
 
         for c0 in range(0, m, rows_per_chunk):
             c1 = min(c0 + rows_per_chunk, m)
             rows = a[c0:c1]
             p_rows = p_a_global or self._params_for_data(rows)
             q_rows = quantize(rows, p_rows).astype(np.float64)
-            chunk_bytes = (c1 - c0) * s * s  # reshaped, zero-padded form
             for j0 in range(0, k, batch):
                 j1 = min(j0 + batch, k)
                 cols = b[:, j0:j1]
@@ -1409,378 +1508,43 @@ class Tensorizer:
                 saturated += int(np.count_nonzero(np.abs(q_out) > 127))
                 q_out = np.clip(q_out, -128, 127)
                 result[c0:c1, j0:j1] = q_out / out_params.scale
-                nk = j1 - j0
-                out_elems = (c1 - c0) * nk
-                exec_seconds = self.timing.instruction_seconds(
-                    Opcode.CONV2D, out_elems=out_elems, macs=out_elems * s * s
-                )
-                instrs.append(
-                    self._gemm_conv2d_instr(
-                        request, source, c0, j0, chunk_bytes, nk * s * s,
-                        exec_seconds, out_elems,
-                    )
-                )
-        # Host-side data transformation: reshaping A's rows into s×s
-        # sub-matrices and B's columns into kernels (§7.1.3's
-        # "additional data-transformation overhead").
-        cpu_seconds = self.cpu.elementwise_seconds(m * s * s + k * s * s, bytes_per_elem=2)
-        return LoweredOperation(request, instrs, result, cpu_seconds=cpu_seconds, saturated=saturated)
+        # The §7.1.2 instruction stream (and the §7.1.3 host transform
+        # cost) come from the same ephemeral plan the kernel binds.  The
+        # source is unique per distinct input so unrelated GEMMs never
+        # alias in on-chip memory (bare arrays use the operation number).
+        plan = self._gemm_capture(request, "")
+        source = request.input_name or f"op{self._op_seq}"
+        instrs = [
+            t.bind(Opcode.CONV2D, request.task_id, source, source, fresh=True)
+            for t in plan.templates
+        ]
+        return LoweredOperation(
+            request, instrs, result, cpu_seconds=plan.cpu_seconds, saturated=saturated
+        )
 
     def _lower_gemm_conv2d_batched(self, request: OperationRequest) -> LoweredOperation:
-        cache = self.plan_cache
-        plan: Optional[CompiledPlan] = None
-        replay = False
-        if cache is not None:
-            signature = plan_signature(request, self.options, self.tpu_config)
-            plan = cache.get(signature)
-            if plan is None:
-                self._tracer.instant(
-                    "plan_miss", cat="plan", track="tensorizer", op=request.opcode.opname
-                )
-                sp = self._tracer.begin("plan_capture", cat="plan", track="tensorizer")
-                plan = self._gemm_capture(request, signature)
-                self._tracer.end(sp)
-                cache.put(signature, plan)
-                self.stats.plan_captures += 1
-            else:
-                self._tracer.instant(
-                    "plan_hit", cat="plan", track="tensorizer", op=request.opcode.opname
-                )
-                replay = True
-        lowered = self._gemm_execute(request, plan, replay=replay)
-        if replay:
-            plan.replays += 1
-            cache.note_bind()
-            self.stats.plan_replays += 1
-        return lowered
-
-    def _gemm_execute(
-        self,
-        request: OperationRequest,
-        plan: Optional[CompiledPlan],
-        *,
-        replay: bool,
-    ) -> LoweredOperation:
-        """Execute one conv2D-GEMM: legacy (``plan=None``), fresh bind of
-        a just-captured plan, or warm replay.
-
-        All three produce bit-identical results: the slab product and the
-        requantize arithmetic re-run per request with the same float64
-        values, and a replay reuses only data-independent artifacts (the
-        geometry, the instruction templates, and — after a value check —
-        the quantized model operand).
-        """
-        a, b = self._require_2d_pair(request)
-        if a.shape[1] != b.shape[0]:
-            raise TensorizerError(f"GEMM inner dims differ: {a.shape} x {b.shape}")
-        m, n = a.shape
-        k = b.shape[1]
-        if plan is not None:
-            g = plan.geometry
-            s, rows_per_chunk, batch = g.s, g.rows_per_chunk, g.batch
-        else:
-            s, rows_per_chunk, batch = self._gemm_conv2d_geometry(request, m, n)
-        source = request.input_name or f"op{self._op_seq}"
-
-        row_starts = list(range(0, m, rows_per_chunk))
-        col_starts = list(range(0, k, batch))
-        n_rows = len(row_starts)
-        n_cols = len(col_starts)
-        if plan is not None and len(plan.templates) != n_rows * n_cols:
-            raise TensorizerError(
-                f"cached GEMM plan records {len(plan.templates)} pieces but the "
-                f"geometry yields {n_rows * n_cols}"
-            )
-
-        tracer = self._tracer
-        # The warm-path host work the plan cache does NOT amortize: input
-        # range scans + quantization of A, and template binding.  (The
-        # slab product and requantize below are the modeled *device*
-        # math — on real hardware they run on the TPU.)
-        bind_sp = (
-            tracer.begin("plan_bind", cat="plan", track="tensorizer", op=request.opcode.opname)
-            if replay
-            else None
-        )
-
-        # A warm replay with the cached model block skips every pass over
-        # B: quantized weights, per-batch scales, and B's value range all
-        # come from the plan, value-checked against this request's
-        # operand.  SCALE only — GLOBAL scales depend on A as well.
-        block = plan.model if plan is not None else None
-        reuse_model = (
-            replay
-            and request.quant is QuantMode.SCALE
-            and block is not None
-            and block.matches(b)
-        )
-
-        # Value range for the Eqs. 5-8 fallback.  data_range over both
-        # operands equals the fold of the per-operand ranges, so the
-        # split scans (reusing / capturing B's range) are bit-identical.
-        b_lo = b_hi = 0.0
-        if reuse_model:
-            a_lo, a_hi = data_range(a)
-            lo, hi = min(a_lo, block.b_lo), max(a_hi, block.b_hi)
-        elif plan is not None and request.quant is QuantMode.SCALE:
-            a_lo, a_hi = data_range(a)
-            b_lo, b_hi = data_range(b)
-            lo, hi = min(a_lo, b_lo), max(a_hi, b_hi)
-        else:
-            lo, hi = data_range(a, b)
-
-        # Per-chunk / per-kernel-batch input scales.  The scalar loop
-        # recomputes the column-batch params for *every* row chunk; they
-        # do not depend on the chunk, so one pass per batch suffices.
-        # (_params_for_data also validates finiteness, chunk by chunk /
-        # batch by batch, covering both operands — the same errors the
-        # scalar path's per-piece quantize calls would raise.)
-        if request.quant is QuantMode.GLOBAL:
-            p_glob = self._input_params(request, a)
-            if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-                raise QuantizationError("data contains non-finite values")
-            row_params = [p_glob] * n_rows
-            col_params = [p_glob] * n_cols
-        elif replay:
-            row_params = [
-                self._chunk_params(a[c0 : c0 + rows_per_chunk]) for c0 in row_starts
-            ]
-            col_params = (
-                None
-                if reuse_model
-                else [self._params_for_data(b[:, j0 : j0 + batch]) for j0 in col_starts]
-            )
-        else:
-            row_params = [
-                self._params_for_data(a[c0 : c0 + rows_per_chunk]) for c0 in row_starts
-            ]
-            col_params = [
-                self._params_for_data(b[:, j0 : j0 + batch]) for j0 in col_starts
-            ]
-        col_scales = (
-            block.col_scales
-            if reuse_model
-            else np.array([p.scale for p in col_params])
-        )
-
-        sc = self._gemm_scratch_for(m, n, k, rows_per_chunk, batch)
-
-        # Quantize each operand once — chunk by chunk into a float32
-        # buffer.  The scaling and rint arithmetic stay float64, so the
-        # stored integers are bit-identical to the scalar path's; the
-        # clip is provably dead because every scale is 127/max_abs of
-        # the very data it multiplies, bounding |rint| by 127.  The
-        # ``+ 0.0`` normalizes rint's ``-0.0`` to the ``+0.0`` the scalar
-        # path's int8 round-trip produces, keeping signed zeros in the
-        # accumulator (and so in the dequantized result) bit-identical.
-        sp = tracer.begin("quantize", cat="lower.phase", track="tensorizer", chunks=n_rows, batches=n_cols)
-        q_a = sc["q_a"]
-        tmp_a = sc["tmp_a"]
-        for c0, p_rows in zip(row_starts, row_params):
-            c1 = min(c0 + rows_per_chunk, m)
-            t = tmp_a[: c1 - c0]
-            np.multiply(a[c0:c1], p_rows.scale, out=t)
-            np.rint(t, out=t)
-            np.add(t, 0.0, out=q_a[c0:c1])
-        if reuse_model:
-            q_b = block.q_b
-        else:
-            q_b, tmp_b = sc["q_b"], sc["tmp_b"]
-            for j0, p_cols in zip(col_starts, col_params):
-                j1 = min(j0 + batch, k)
-                t = tmp_b[:, : j1 - j0]
-                np.multiply(b[:, j0:j1], p_cols.scale, out=t)
-                np.rint(t, out=t)
-                np.add(t, 0.0, out=q_b[:, j0:j1])
-        tracer.end(sp)
-
-        if plan is not None and request.quant is QuantMode.SCALE and not reuse_model:
-            # Cache the quantized model operand with the plan.  Copy: the
-            # scratch q_b is overwritten by the next GEMM of this
-            # geometry, and the block must outlive it.
-            plan.model = model_block_for(b, q_b.copy(), col_scales, b_lo, b_hi)
-
-        # Bind the cached instruction templates (plan paths) in the same
-        # (chunk, kernel-batch) order the legacy loop emits.  A fresh
-        # bind (the capture miss) carries the capture-time model-build
-        # seconds; a warm replay binds them at zero.
-        if plan is not None:
-            instrs = [
-                t.bind(Opcode.CONV2D, request.task_id, source, source, fresh=not replay)
-                for t in plan.templates
-            ]
-        else:
-            instrs = []
-        if bind_sp is not None:
-            tracer.end(bind_sp)
-
-        sp = tracer.begin("slab_gemm", cat="lower.phase", track="tensorizer", m=m, n=n, k=k)
-        partials = functional.f32_slab_products(q_a, q_b, out=sc["parts"])
-        tracer.end(sp)
-        self.stats.tiles_lowered += n_rows * n_cols
-        self.stats.batched_dispatches += 1
-
-        # Requantize chunk-strip by chunk-strip: the exact float64
-        # accumulator strip is assembled from the slab partials, its
-        # per-(chunk, batch) bounds taken with two reduceat passes, and
-        # the rescale/rint/clip/dequantize sequence applied with the
-        # per-batch factors expanded to a column vector — elementwise the
-        # identical operations (and operand values) the scalar loop
-        # applies to each piece, ~10 NumPy dispatches per chunk instead
-        # of ~8 per (chunk, batch) block.
-        sp = tracer.begin("requantize", cat="lower.phase", track="tensorizer", chunks=n_rows)
-        result = np.empty((m, k), dtype=np.float64)
-        strip = sc["strip"]
-        col_idx = np.array(col_starts, dtype=np.intp)
-        batch_sizes = np.array(
-            [min(j0 + batch, k) - j0 for j0 in col_starts], dtype=np.intp
-        )
-        out_scales_row = np.empty(n_cols)
-        rescale_row = np.empty(n_cols)
-        saturated = 0
-        integ = (
-            IntegrityPlan(mode=self.options.integrity)
-            if self.options.integrity != "off"
-            else None
-        )
-        for ci, c0 in enumerate(row_starts):
-            c1 = min(c0 + rows_per_chunk, m)
-            p_rows = row_params[ci]
-            chunk_bytes = (c1 - c0) * s * s
-            st = strip[: c1 - c0]
-            if len(partials) == 1:
-                np.copyto(st, partials[0][c0:c1])
-            else:
-                np.add(partials[0][c0:c1], partials[1][c0:c1], out=st)
-                for part in partials[2:]:
-                    st += part[c0:c1]
-            # Per-batch |acc| bounds: max|x| == max(max, -min), and a
-            # segmented max equals each block's max — no abs temporary.
-            bmax = np.maximum.reduceat(st, col_idx, axis=1).max(axis=0)
-            bmin = np.minimum.reduceat(st, col_idx, axis=1).min(axis=0)
-            may_saturate = False
-            for bi in range(n_cols):
-                acc_bound = max(float(bmax[bi]), -float(bmin[bi]))
-                scale_prod = p_rows.scale * col_scales[bi]
-                measured = acc_bound / scale_prod
-                out_params = self._output_params(Opcode.CONV2D.opname, measured, lo, hi, n=n)
-                out_scales_row[bi] = out_params.scale
-                rescale_row[bi] = out_params.scale / scale_prod
-                # fl(·) is monotone, so acc_bound * rescale bounds every
-                # rescaled element; below 127.5 nothing rounds past ±127
-                # and the saturation count and clip are provably no-ops.
-                if not acc_bound * rescale_row[bi] < 127.5:
-                    may_saturate = True
-            # ABFT checksums come from the exact accumulator strip, so
-            # they must be captured before the in-place requantize below
-            # destroys it.  A saturating strip breaks the linear relation
-            # (clipping); it falls back to exact post-clip sums instead.
-            if integ is not None and not may_saturate:
-                acc_row_seg = np.add.reduceat(st, col_idx, axis=1)
-                acc_col = st.sum(axis=0)
-            else:
-                acc_row_seg = acc_col = None
-            rvec = np.repeat(rescale_row, batch_sizes)
-            np.multiply(st, rvec, out=st)
-            np.rint(st, out=st)
-            # Like the operand quantize above: rint's ``-0.0`` is not on
-            # the int8 wire grid, and the integrity write-back divides
-            # the device-returned ``0`` by the same out_scale — normalize
-            # so verified and unverified deliveries stay bit-identical.
-            np.add(st, 0.0, out=st)
-            if may_saturate:
-                # Saturation counts are additive across blocks and clip
-                # is a no-op wherever nothing exceeds ±127, so one strip
-                # pass equals the scalar path's per-block pass.
-                saturated += int(np.count_nonzero(st > 127)) + int(
-                    np.count_nonzero(st < -127)
-                )
-                np.clip(st, -128, 127, out=st)
-            np.divide(st, np.repeat(out_scales_row, batch_sizes), out=result[c0:c1])
-            for bi, j0 in enumerate(col_starts):
-                nk = int(batch_sizes[bi])
-                if plan is None:
-                    out_elems = (c1 - c0) * nk
-                    exec_seconds = self.timing.instruction_seconds(
-                        Opcode.CONV2D, out_elems=out_elems, macs=out_elems * s * s
-                    )
-                    instrs.append(
-                        self._gemm_conv2d_instr(
-                            request, source, c0, j0, chunk_bytes,
-                            nk * s * s, exec_seconds, out_elems,
-                        )
-                    )
-                if integ is not None:
-                    integ.add(make_gemm_check(
-                        label=f"convGEMM:r{c0}:k{j0}",
-                        rows=(c0, c1),
-                        cols=(j0, j0 + nk),
-                        q=st[:, j0 : j0 + nk],
-                        out_scale=float(out_scales_row[bi]),
-                        acc_row_sums=None if acc_row_seg is None else acc_row_seg[:, bi],
-                        acc_col_sums=None if acc_col is None else acc_col[j0 : j0 + nk],
-                        rescale=float(rescale_row[bi]),
-                    ))
-        tracer.end(sp)
-        if integ is not None:
-            self.stats.integrity_plans += 1
-            self.stats.integrity_tiles_planned += integ.tiles
-        if reuse_model:
-            # §7.1.3 host transform: a warm bind only reshapes this
-            # request's rows; the shared-kernel build happened at capture.
-            cpu_seconds = self.cpu.elementwise_seconds(m * s * s, bytes_per_elem=2)
-        elif plan is not None:
-            cpu_seconds = plan.cpu_seconds
-        else:
-            cpu_seconds = self.cpu.elementwise_seconds(
-                m * s * s + k * s * s, bytes_per_elem=2
-            )
-        return LoweredOperation(
-            request, instrs, result, cpu_seconds=cpu_seconds, saturated=saturated,
-            integrity=integ,
-        )
-
-    # ------------------------------------------------------------------
-    # coalesced multi-client GEMM (serving layer)
-    # ------------------------------------------------------------------
+        return self._gemm_group([request], request.inputs[0])[0]
 
     def lower_gemm_coalesced(
         self, requests: Sequence[OperationRequest]
     ) -> List[LoweredOperation]:
         """Lower several compatible conv2D-GEMMs as ONE batched dispatch.
 
-        The serving layer (:mod:`repro.serve`) merges GEMM requests from
-        different clients that share the model operand *B*, the data
-        shape, and SCALE quantization — the common "many clients, one
-        weight matrix" pattern.  The quantized data operands are stacked
-        row-wise and the whole stack runs through a single exact-f32
-        slab product (the PR 1 vectorized path), after which each
-        client's strip is requantized with its *own* per-chunk input
-        scales and measured output bounds.
-
-        **Bit-identity guarantee**: every slab partial holds exact
-        integers (any BLAS summation order yields the same value — see
-        :func:`repro.edgetpu.functional.f32_slab_products`), each
-        request occupies its own rows of the stack, and quantization /
-        requantization use exactly the per-request, per-chunk values the
-        solo path computes.  Each returned result is therefore
-        bit-for-bit what :meth:`lower` would produce for that request
-        alone; ``tests/serve/test_coalescer.py`` enforces this by
-        property test.
-
-        Instruction streams keep per-request data sources (no aliasing
-        of on-chip chunks) but share one *model* source, so the common
-        kernel batches stay device-resident across clients.  The shared
-        B reshape cost (§7.1.3 data transformation) is charged once, to
-        the first request of the group.
-
-        Raises :class:`TensorizerError` when the requests are not
-        coalescible (the serving coalescer only groups compatible ones).
+        The serving layer (:mod:`repro.serve`) merges GEMMs from different
+        clients sharing the model operand *B*, the data shape and SCALE
+        quantization.  They run through the kernel that lowers a solo GEMM
+        (:meth:`_gemm_group`), so each operation is bit-for-bit what
+        :meth:`lower` makes of its request alone, except that members
+        share the first one's *model* source (kernels stay resident across
+        clients) and it alone pays the shared B reshape (§7.1.3).  Raises
+        :class:`TensorizerError` for requests that cannot coalesce.
         """
         if not requests:
             raise TensorizerError("lower_gemm_coalesced needs at least one request")
         if len(requests) == 1:
             return [self.lower(requests[0])]
+        self._share_model_operands(requests)
+        stack = self._stack_data_operands(requests)
         for request in requests:
             self._normalize_inputs(request)
             if request.opcode is not Opcode.CONV2D or not request.attrs.get("gemm", False):
@@ -1789,7 +1553,82 @@ class Tensorizer:
                 )
             if request.quant is not QuantMode.SCALE:
                 raise TensorizerError("coalescing requires SCALE quantization")
-        first = requests[0]
+        tracer = self._tracer
+        sp = tracer.begin(
+            "lower:conv2D-coalesced", cat="lower", track="tensorizer", requests=len(requests)
+        )
+        lowered = self._gemm_group(requests, stack)
+        for op in lowered:
+            self.stats.operations_lowered += 1
+            self.stats.instructions_emitted += op.instruction_count
+            self.stats.saturated_values += op.saturated
+        self._op_seq += len(requests)
+        if tracer.enabled:
+            sp.add_device_seconds(sum(op.total_exec_seconds for op in lowered))
+            sp.set(instructions=sum(op.instruction_count for op in lowered))
+        tracer.end(sp)
+        return lowered
+
+    @staticmethod
+    def _stack_data_operands(requests: Sequence[OperationRequest]) -> Optional[np.ndarray]:
+        """Normalize a group's data operands into one float64 row stack;
+        each member's A becomes its rows of it (a C-contiguous view).
+        ``None`` when the shapes disagree (the kernel then rejects them)."""
+        a_list = [r.inputs[0] for r in requests if len(r.inputs) == 2]
+        shape = np.shape(a_list[0]) if len(a_list) == len(requests) else ()
+        if len(shape) != 2 or any(np.shape(a) != shape for a in a_list):
+            return None
+        stack = np.concatenate(a_list, dtype=np.float64, casting="unsafe")
+        for i, request in enumerate(requests):
+            request.inputs = (stack[i * shape[0] : (i + 1) * shape[0]],) + request.inputs[1:]
+        return stack
+
+    def _gemm_plan(
+        self, first: OperationRequest, n_req: int
+    ) -> Tuple[Optional[CompiledPlan], bool]:
+        """Look up (or capture) the group's plan: ``(plan, replay)``.
+
+        The coalescing key (shape / quant / gemm_chunks / shared B) is a
+        sub-key of the plan signature, so one plan serves the whole group.
+        """
+        cache = self.plan_cache
+        if cache is None:
+            return None, False
+        signature = plan_signature(first, self.options, self.tpu_config)
+        plan = cache.get(signature)
+        extra = {"coalesced": n_req} if n_req > 1 else {}
+        self._tracer.instant(
+            "plan_miss" if plan is None else "plan_hit",
+            cat="plan", track="tensorizer", op=Opcode.CONV2D.opname, **extra,
+        )
+        if plan is not None:
+            return plan, True
+        sp = self._tracer.begin("plan_capture", cat="plan", track="tensorizer")
+        plan = self._gemm_capture(first, signature)
+        self._tracer.end(sp)
+        cache.put(signature, plan)
+        self.stats.plan_captures += 1
+        return plan, False
+
+    def _gemm_group(
+        self, requests: Sequence[OperationRequest], stack: Optional[np.ndarray]
+    ) -> List[LoweredOperation]:
+        """The conv2D-GEMM kernel: lower N >= 1 GEMMs sharing B and shape.
+
+        *stack* holds the members' A operands row-wise.  Each data pass
+        runs over the whole stack with a fixed number of NumPy calls per
+        row block (one block unless the stack outgrows
+        ``_GEMM_BLOCK_BYTES``), not one set per request, chunk or batch:
+        quantize A, one exact-f32 slab product with the shared quantized
+        B, requantize.  Between passes, the per-piece scale arithmetic is
+        scalar Python over the reduced extremes — cheaper than NumPy calls
+        on a handful of elements.  Results are bit-identical to the scalar
+        oracle: max and min are exact in any order, slab partials are
+        exact integers, and per-piece factors are only broadcast.  B is
+        handled once per group (one :meth:`GemmModelBlock.matches` on a
+        warm plan, else one quantization) and ABFT checks once per block.
+        """
+        first, n_req = requests[0], len(requests)
         a0, b = self._require_2d_pair(first)
         if a0.shape[1] != b.shape[0]:
             raise TensorizerError(f"GEMM inner dims differ: {a0.shape} x {b.shape}")
@@ -1804,261 +1643,204 @@ class Tensorizer:
                 raise TensorizerError("coalesced GEMMs must share the model operand")
             if int(request.attrs.get("gemm_chunks", self.options.min_gemm_chunks)) != chunk_attr:
                 raise TensorizerError("coalesced GEMMs must agree on gemm_chunks")
+        (m, n), k = a0.shape, b.shape[1]
+        if a0.size == 0 or b.size == 0:
+            raise QuantizationError("cannot derive quantization parameters from empty data")
 
-        m, n = a0.shape
-        k = b.shape[1]
-        n_req = len(requests)
-        s, rows_per_chunk, batch = self._gemm_conv2d_geometry(first, m, n)
-        row_starts = list(range(0, m, rows_per_chunk))
-        col_starts = list(range(0, k, batch))
-        n_rows = len(row_starts)
-        n_cols = len(col_starts)
-
-        # The coalescing compatibility key (shape / quant / gemm_chunks
-        # / shared B) is a sub-key of the plan signature, so one cached
-        # plan serves the whole group — and a group captures one plan.
-        cache = self.plan_cache
-        plan: Optional[CompiledPlan] = None
-        replay = False
-        if cache is not None:
-            signature = plan_signature(first, self.options, self.tpu_config)
-            plan = cache.get(signature)
-            if plan is None:
-                self._tracer.instant(
-                    "plan_miss", cat="plan", track="tensorizer",
-                    op=Opcode.CONV2D.opname, coalesced=n_req,
-                )
-                sp = self._tracer.begin("plan_capture", cat="plan", track="tensorizer")
-                plan = self._gemm_capture(first, signature)
-                self._tracer.end(sp)
-                cache.put(signature, plan)
-                self.stats.plan_captures += 1
-            else:
-                self._tracer.instant(
-                    "plan_hit", cat="plan", track="tensorizer",
-                    op=Opcode.CONV2D.opname, coalesced=n_req,
-                )
-                replay = True
-                plan.replays += 1
-                cache.note_bind(n_req)
-                self.stats.plan_replays += n_req
-            if len(plan.templates) != n_rows * n_cols:
-                raise TensorizerError(
-                    f"cached GEMM plan records {len(plan.templates)} pieces but "
-                    f"the geometry yields {n_rows * n_cols}"
-                )
-
+        plan, replay = self._gemm_plan(first, n_req)
+        cached = plan is not None
+        if not cached:  # plan-free: an ephemeral plan, bound once
+            plan = self._gemm_capture(first, "")
+        s, h, batch = plan.geometry.s, plan.geometry.rows_per_chunk, plan.geometry.batch
+        lay = _gemm_layout(n_req, m, n, k, h, batch)
+        n_rows, n_cols = lay.n_rows, lay.n_cols
+        if len(plan.templates) != n_rows * n_cols:
+            raise TensorizerError(
+                f"cached GEMM plan records {len(plan.templates)} pieces but the "
+                f"geometry yields {n_rows * n_cols}"
+            )
+        sc = self._gemm_buffers(n_req * m, n, k, lay.strip_elems)
+        buf = sc["strip"]
         tracer = self._tracer
-        sp_op = tracer.begin(
-            "lower:conv2D-coalesced", cat="lower", track="tensorizer", requests=n_req
-        )
+        # Warm-path host work the plan cannot amortize: quantizing A and
+        # binding templates (slab product and requantize model the device).
+        bind_sp = tracer.begin("plan_bind", cat="plan", track="tensorizer") if replay else None
         sp = tracer.begin("quantize", cat="lower.phase", track="tensorizer", requests=n_req)
-        # Shared model operand: one set of column-batch params and one
-        # quantized copy — identical values to every solo lowering.  A
-        # warm replay whose cached model block matches B skips every
-        # pass over it (quantized weights, scales, and value range all
-        # come from the plan).
-        block = plan.model if plan is not None else None
-        reuse_model = replay and block is not None and block.matches(b)
-        if reuse_model:
-            col_scales = block.col_scales
-            q_b = block.q_b
-            b_lo, b_hi = block.b_lo, block.b_hi
+        global_quant = first.quant is QuantMode.GLOBAL
+        if global_quant:  # (never coalesced) one scale from the joint range
+            lo = min(float(a0.min()), float(b.min()))
+            hi = max(float(a0.max()), float(b.max()))
+            p_glob = self._params_for_range(max(abs(lo), abs(hi)))
+            if not np.all(np.isfinite(a0)) or not np.all(np.isfinite(b)):
+                raise QuantizationError("data contains non-finite values")
+            row_scales = [p_glob.scale] * (n_req * n_rows)
         else:
-            col_params = [
-                self._params_for_data(b[:, j0 : j0 + batch]) for j0 in col_starts
-            ]
-            col_scales = np.array([p.scale for p in col_params])
-            q_b = np.empty((n, k), dtype=np.float32)
-            tmp_b = np.empty((n, min(batch, k)), dtype=np.float64)
-            for j0, p_cols in zip(col_starts, col_params):
-                j1 = min(j0 + batch, k)
-                t = tmp_b[:, : j1 - j0]
-                np.multiply(b[:, j0:j1], p_cols.scale, out=t)
-                np.rint(t, out=t)
-                np.add(t, 0.0, out=q_b[:, j0:j1])
-            b_lo, b_hi = data_range(b)
-            if plan is not None:
-                plan.model = model_block_for(b, q_b.copy(), col_scales, b_lo, b_hi)
-
-        # Per-request data operands, quantized chunk by chunk with each
-        # request's own scales, stacked row-wise for one slab product.
-        # Splitting the range scans (A alone, folded with B's cached
-        # range) is bit-identical to data_range(a, b).
-        bind_sp = (
-            tracer.begin("plan_bind", cat="plan", track="tensorizer", requests=n_req)
-            if replay
-            else None
-        )
-        sources: List[str] = []
-        ranges: List[Tuple[float, float]] = []
-        all_row_params: List[List[QuantParams]] = []
-        q_a = np.empty((n_req * m, n), dtype=np.float32)
-        tmp_a = np.empty((min(rows_per_chunk, m), n), dtype=np.float64)
-        for idx, request in enumerate(requests):
-            a = request.inputs[0]
-            a_lo, a_hi = data_range(a)
-            ranges.append((min(a_lo, b_lo), max(a_hi, b_hi)))
-            sources.append(request.input_name or f"op{self._op_seq}")
-            self._op_seq += 1
-            if replay:
-                row_params = [
-                    self._chunk_params(a[c0 : c0 + rows_per_chunk]) for c0 in row_starts
-                ]
+            row_scales, chunk_hi, chunk_lo = [], [], []
+        # Quantize A in float64 (the clip is provably dead: each scale is
+        # 127/max_abs of its data); ``+ 0.0`` turns rint's ``-0.0`` into
+        # the ``+0.0`` of the scalar path's int8 round trip.
+        for blk in lay.blocks:
+            t = buf[: (blk.r1 - blk.r0) * n].reshape(blk.split + (n,))
+            src = stack[blk.r0 : blk.r1].reshape(t.shape)
+            if global_quant:
+                np.multiply(src, p_glob.scale, out=t)
             else:
-                row_params = [
-                    self._params_for_data(a[c0 : c0 + rows_per_chunk])
-                    for c0 in row_starts
-                ]
-            all_row_params.append(row_params)
-            base = idx * m
-            for c0, p_rows in zip(row_starts, row_params):
-                c1 = min(c0 + rows_per_chunk, m)
-                t = tmp_a[: c1 - c0]
-                np.multiply(a[c0:c1], p_rows.scale, out=t)
-                np.rint(t, out=t)
-                np.add(t, 0.0, out=q_a[base + c0 : base + c1])
+                his, los = (x.ravel().tolist() for x in _extrema(src[:, :, None, :], blk, None))
+                chunk_hi += his
+                chunk_lo += los
+                scales = [_scale_for_extrema(x, y) for x, y in zip(his, los)]
+                row_scales += scales
+                factor = np.array(scales) if blk.repeat is None else np.repeat(scales, blk.repeat)
+                np.multiply(src, factor[:, None, None], out=t)
+            np.rint(t, out=t)
+            np.add(t, 0.0, out=sc["q_a"][blk.r0 : blk.r1].reshape(t.shape))
 
+        model = plan.model
+        reuse_model = replay and not global_quant and model is not None and model.matches(b)
+        if reuse_model:
+            q_b, col_scales, b_lo, b_hi = model.q_b, model.col_scales, model.b_lo, model.b_hi
+        else:
+            if global_quant:
+                col_scales = np.full(n_cols, p_glob.scale)
+            else:
+                his = np.maximum.reduceat(b.max(axis=0), lay.col_starts).tolist()
+                los = np.minimum.reduceat(b.min(axis=0), lay.col_starts).tolist()
+                col_scales = np.array([_scale_for_extrema(x, y) for x, y in zip(his, los)])
+                b_lo, b_hi = min(los), max(his)
+            q_b = sc["q_b"]
+            step = max(1, buf.size // k)
+            for r0 in range(0, n, step):
+                t = buf[: min(step, n - r0) * k].reshape(-1, k)
+                np.multiply(b[r0 : r0 + step], col_scales.repeat(lay.widths), out=t)
+                np.rint(t, out=t)
+                np.add(t, 0.0, out=q_b[r0 : r0 + step])
+            if cached and not global_quant:
+                # Copy: the scratch q_b is reused by the next GEMM.
+                plan.model = model_block_for(b, q_b.copy(), col_scales, b_lo, b_hi)
+        tracer.end(sp)
+
+        # Bind every member's instruction stream: own data source, the
+        # first member's model source.  A capture charges the group's
+        # model builds (costed at capture) to its first member and a warm
+        # replay binds them at zero; a plan-free group builds per member.
+        sources = [r.input_name or f"op{self._op_seq + i}" for i, r in enumerate(requests)]
+        instrs = [
+            [
+                t.bind(
+                    Opcode.CONV2D, r.task_id, src, sources[0],
+                    fresh=not replay and (i == 0 or not cached),
+                )
+                for t in plan.templates
+            ]
+            for i, (r, src) in enumerate(zip(requests, sources))
+        ]
+        for _ in requests[1:] if not cached else ():
+            for t in plan.templates:
+                self.stats.models_built += 1
+                self.stats.model_build_seconds += t.model_build_seconds
         if bind_sp is not None:
             tracer.end(bind_sp)
-        tracer.end(sp)
-        # THE coalesced dispatch: one exact-f32 slab GEMM over every
-        # client's rows at once.  Slab partials are exact integers, so
-        # each row's value is independent of its neighbours in the stack.
-        sp = tracer.begin("slab_gemm", cat="lower.phase", track="tensorizer", m=n_req * m, n=n, k=k)
-        partials = functional.f32_slab_products(q_a, q_b)
-        tracer.end(sp)
-        self.stats.tiles_lowered += n_req * n_rows * n_cols
-        self.stats.batched_dispatches += 1
-        self.stats.coalesced_operations += n_req
 
-        # Requantize per request, per chunk strip — the solo loop's
-        # arithmetic applied to this request's rows of the stack.
-        sp = tracer.begin("requantize", cat="lower.phase", track="tensorizer", requests=n_req)
-        model_source = sources[0]
-        strip = np.empty((min(rows_per_chunk, m), k), dtype=np.float64)
-        col_idx = np.array(col_starts, dtype=np.intp)
-        batch_sizes = np.array(
-            [min(j0 + batch, k) - j0 for j0 in col_starts], dtype=np.intp
-        )
-        out_scales_row = np.empty(n_cols)
-        rescale_row = np.empty(n_cols)
-        lowered: List[LoweredOperation] = []
-        for idx, request in enumerate(requests):
-            base = idx * m
-            lo, hi = ranges[idx]
-            result = np.empty((m, k), dtype=np.float64)
-            instrs: List[LoweredInstr] = []
-            saturated = 0
-            integ = (
-                IntegrityPlan(mode=self.options.integrity)
-                if self.options.integrity != "off"
-                else None
-            )
-            for ci, c0 in enumerate(row_starts):
-                c1 = min(c0 + rows_per_chunk, m)
-                p_rows = all_row_params[idx][ci]
-                chunk_bytes = (c1 - c0) * s * s
-                st = strip[: c1 - c0]
-                r0, r1 = base + c0, base + c1
-                if len(partials) == 1:
-                    np.copyto(st, partials[0][r0:r1])
-                else:
-                    np.add(partials[0][r0:r1], partials[1][r0:r1], out=st)
-                    for part in partials[2:]:
-                        st += part[r0:r1]
-                bmax = np.maximum.reduceat(st, col_idx, axis=1).max(axis=0)
-                bmin = np.minimum.reduceat(st, col_idx, axis=1).min(axis=0)
-                may_saturate = False
-                for bi in range(n_cols):
-                    acc_bound = max(float(bmax[bi]), -float(bmin[bi]))
-                    scale_prod = p_rows.scale * col_scales[bi]
-                    measured = acc_bound / scale_prod
-                    out_params = self._output_params(
-                        Opcode.CONV2D.opname, measured, lo, hi, n=n
-                    )
-                    out_scales_row[bi] = out_params.scale
-                    rescale_row[bi] = out_params.scale / scale_prod
-                    if not acc_bound * rescale_row[bi] < 127.5:
-                        may_saturate = True
-                # Checksums from the exact accumulator, captured before
-                # the in-place requantize (same rule as the solo path).
-                if integ is not None and not may_saturate:
-                    acc_row_seg = np.add.reduceat(st, col_idx, axis=1)
-                    acc_col = st.sum(axis=0)
-                else:
-                    acc_row_seg = acc_col = None
-                rvec = np.repeat(rescale_row, batch_sizes)
-                np.multiply(st, rvec, out=st)
-                np.rint(st, out=st)
-                # rint's ``-0.0`` is not on the int8 wire grid; the
-                # integrity write-back divides the device-returned 0 by
-                # the same out_scale and must reproduce these bytes.
-                np.add(st, 0.0, out=st)
-                if may_saturate:
-                    saturated += int(np.count_nonzero(st > 127)) + int(
-                        np.count_nonzero(st < -127)
-                    )
-                    np.clip(st, -128, 127, out=st)
-                np.divide(st, np.repeat(out_scales_row, batch_sizes), out=result[c0:c1])
-                for bi, j0 in enumerate(col_starts):
-                    nk = int(batch_sizes[bi])
-                    if plan is not None:
-                        # Capture accounted the group's model builds
-                        # once; the miss charges them to the first
-                        # request, every other bind ships them free.
-                        instrs.append(
-                            plan.templates[ci * n_cols + bi].bind(
-                                Opcode.CONV2D, request.task_id,
-                                sources[idx], model_source,
-                                fresh=(not replay and idx == 0),
-                            )
-                        )
-                    else:
-                        out_elems = (c1 - c0) * nk
-                        exec_seconds = self.timing.instruction_seconds(
-                            Opcode.CONV2D, out_elems=out_elems, macs=out_elems * s * s
-                        )
-                        instrs.append(
-                            self._gemm_conv2d_instr(
-                                request, sources[idx], c0, j0, chunk_bytes,
-                                nk * s * s, exec_seconds, out_elems,
-                                model_source=model_source,
-                            )
-                        )
-                    if integ is not None:
-                        integ.add(make_gemm_check(
-                            label=f"convGEMM:r{c0}:k{j0}",
-                            rows=(c0, c1),
-                            cols=(j0, j0 + nk),
-                            q=st[:, j0 : j0 + nk],
-                            out_scale=float(out_scales_row[bi]),
-                            acc_row_sums=None if acc_row_seg is None else acc_row_seg[:, bi],
-                            acc_col_sums=None if acc_col is None else acc_col[j0 : j0 + nk],
-                            rescale=float(rescale_row[bi]),
-                        ))
-            # Host data transformation: each request reshapes its own
-            # rows; the shared kernels are built once for the group (at
-            # capture, when the model block is warm — then nobody pays).
-            elems = m * s * s + (k * s * s if idx == 0 and not reuse_model else 0)
-            cpu_seconds = self.cpu.elementwise_seconds(elems, bytes_per_elem=2)
-            op = LoweredOperation(
-                request, instrs, result, cpu_seconds=cpu_seconds, saturated=saturated,
-                integrity=integ,
-            )
-            if integ is not None:
-                self.stats.integrity_plans += 1
-                self.stats.integrity_tiles_planned += integ.tiles
-            self.stats.operations_lowered += 1
-            self.stats.instructions_emitted += op.instruction_count
-            self.stats.saturated_values += saturated
-            lowered.append(op)
+        sp = tracer.begin("slab_gemm", cat="lower.phase", track="tensorizer", m=n_req * m, n=n, k=k)
+        partials = functional.f32_slab_products(sc["q_a"], q_b, out=sc["parts"])
         tracer.end(sp)
-        for op in lowered:
-            sp_op.add_device_seconds(op.total_exec_seconds)
-        sp_op.set(instructions=sum(op.instruction_count for op in lowered))
-        tracer.end(sp_op)
-        return lowered
+
+        def fallback_range(g: int) -> Tuple[float, float]:
+            """Chunk g's request value range (Eqs. 5-8): its chunk extremes
+            folded with B's — exact, as min and max are."""
+            if global_quant:
+                return lo, hi
+            r = g // n_rows * n_rows
+            return min(min(chunk_lo[r : r + n_rows]), b_lo), max(max(chunk_hi[r : r + n_rows]), b_hi)
+
+        # Requantize: the exact float64 accumulator, bounded per piece,
+        # rescaled, rounded, clipped and dequantized with broadcast factors.
+        sp = tracer.begin("requantize", cat="lower.phase", track="tensorizer", requests=n_req)
+        integrity_on = self.options.integrity != "off"
+        plans = [IntegrityPlan(mode=self.options.integrity) for _ in requests] if integrity_on else None
+        measured_rule = self.options.scaling_rule == "measured"
+        result = np.empty((n_req * m, k), dtype=np.float64)
+        saturated = [0] * n_req
+        for blk in lay.blocks:
+            acc = buf[: (blk.r1 - blk.r0) * k].reshape(blk.r1 - blk.r0, k)
+            np.copyto(acc, partials[0][blk.r0 : blk.r1])
+            for part in partials[1:]:
+                acc += part[blk.r0 : blk.r1]
+            view = acc.reshape(blk.split + lay.split)
+            his, los = _extrema(view, blk, lay.col_cuts)
+            out_scales, rescales, flags = [], [], []
+            for g, row_his, row_los in zip(range(blk.g0, blk.g1), his.tolist(), los.tolist()):
+                flag = False
+                # NumPy scalars, as in the scalar oracle: a product of
+                # scales that underflows divides to inf, not an exception.
+                for x, y, col_scale in zip(row_his, row_los, col_scales):
+                    bound = max(x, -y)  # max|acc| == max(max, -min)
+                    scale_prod = row_scales[g] * col_scale
+                    measured = bound / scale_prod
+                    if measured_rule and measured > 0:
+                        out = scale_for_range(measured * 1.05)
+                    else:
+                        lo_g, hi_g = fallback_range(g)
+                        out = output_quant_params(Opcode.CONV2D.opname, lo_g, hi_g, n).scale
+                    out_scales.append(out)
+                    rescales.append(out / scale_prod)
+                    # fl(·) is monotone, so bound * rescale bounds every
+                    # rescaled element: below 127.5 nothing rounds past
+                    # ±127, and count and clip are provably no-ops.
+                    flag = flag or not bound * rescales[-1] < 127.5
+                flags.append(flag)
+            rescale, out_scale = np.array([rescales, out_scales]).reshape(2, -1, n_cols)
+            if integrity_on:  # ABFT sums: before the in-place requantize
+                acc_sums = (acc @ lay.onehot, blk.onehot @ acc)
+            np.multiply(view, _spread(rescale, blk, lay), out=view)
+            np.rint(acc, out=acc)
+            # rint's ``-0.0`` is not on the int8 wire grid either; the
+            # integrity write-back must reproduce these bytes.
+            np.add(acc, 0.0, out=acc)
+            clips = any(flags)
+            if clips:
+                over = np.add.reduceat((acc > 127).sum(axis=1) + (acc < -127).sum(axis=1), blk.local)
+                for g, count in zip(range(blk.g0, blk.g1), over.tolist()):
+                    saturated[g // n_rows] += count
+                np.clip(acc, -128, 127, out=acc)
+            if integrity_on:
+                checks = make_gemm_checks(
+                    blk.pieces, acc, acc_sums,
+                    (acc @ lay.onehot, blk.onehot @ acc) if clips else None,
+                    rescale, out_scale, flags,
+                    blk.local, blk.heights, lay.col_starts, lay.widths,
+                )
+                for owner, check in zip(blk.owners, checks):
+                    plans[owner].add(check)
+            dst = result[blk.r0 : blk.r1].reshape(view.shape)
+            np.divide(view, _spread(out_scale, blk, lay), out=dst)
+        tracer.end(sp)
+
+        stats = self.stats
+        stats.tiles_lowered += n_req * n_rows * n_cols
+        stats.batched_dispatches += 1
+        stats.coalesced_operations += n_req if n_req > 1 else 0
+        if integrity_on:
+            stats.integrity_plans += n_req
+            stats.integrity_tiles_planned += n_req * n_rows * n_cols
+        if replay:
+            plan.replays += 1
+            self.plan_cache.note_bind(n_req)
+            stats.plan_replays += n_req
+        # Host data transformation (§7.1.3): each request reshapes its own
+        # rows; the shared kernels are built once, charged to the first
+        # member (at capture — a warm bind reusing the model pays none).
+        rows_cpu = self.cpu.elementwise_seconds(m * s * s, bytes_per_elem=2)
+        first_cpu = rows_cpu if reuse_model else plan.cpu_seconds
+        return [
+            LoweredOperation(
+                r, instrs[i], result if n_req == 1 else result[i * m : (i + 1) * m],
+                cpu_seconds=first_cpu if i == 0 else rows_cpu,
+                saturated=saturated[i],
+                integrity=plans[i] if integrity_on else None,
+            )
+            for i, r in enumerate(requests)
+        ]
 
     # ------------------------------------------------------------------
     # conv2D as a stencil (HotSpot3D-style small kernels)

@@ -4,9 +4,10 @@ Serving traffic is dominated by the "many clients, one weight matrix"
 pattern — the same model operand *B* multiplied against each client's
 own data.  The coalescer groups admitted GEMM requests whose lowering
 is provably mergeable and hands each group to
-:meth:`repro.runtime.tensorizer.Tensorizer.lower_gemm_coalesced`, which
-runs ONE batched lowering and de-multiplexes bit-identical per-client
-results.
+:meth:`repro.runtime.tensorizer.Tensorizer.lower_gemm_coalesced`.  It
+runs the Tensorizer's one GEMM kernel — the same one that lowers a solo
+GEMM as a group of one — over the whole group and de-multiplexes
+bit-identical per-client results.
 
 Compatibility (conservative by construction — anything else stays a
 singleton and lowers normally):

@@ -51,10 +51,16 @@ class ServingMetrics:
         self.shed = 0  # LoadShed rejects (overload policy)
         self.timeouts = 0  # RequestTimeout rejections
         self.completed = 0  # futures resolved with a result
-        self.failed = 0  # futures rejected with DeviceFailure
+        self.failed = 0  # futures rejected with an error (all causes)
+        #: ... of which lowering raised (counted in ``failed`` too).
+        self.lowering_failed = 0
         #: Preemptions: not-yet-dispatched requests pulled back into the
         #: admission queue to make room for a higher-priority batch.
         self.preemptions = 0
+        #: Multi-process plan gossip: captured plans a worker could not
+        #: serialize, and gossiped plan blobs it rejected as malformed.
+        self.plan_ship_failed = 0
+        self.plan_parse_failed = 0
         #: Shard placements where the energy-aware planner chose a
         #: cheaper-energy candidate over the minimum-makespan one.
         self.energy_plans = 0
@@ -202,12 +208,12 @@ class ServingMetrics:
 
     _SCALARS = (
         "submitted", "rejected", "shed", "timeouts", "completed", "failed",
-        "preemptions", "energy_plans",
+        "lowering_failed", "preemptions", "energy_plans",
         "retries", "device_failures", "coalesced_requests",
         "coalesce_groups", "bytes_in", "bytes_out", "tiles_verified",
         "sdc_detected", "sdc_incidents", "sdc_corrected", "quarantines",
         "vote_adjudications", "shard_plans", "shard_segments",
-        "shard_migrations", "shard_merged",
+        "shard_migrations", "shard_merged", "plan_ship_failed", "plan_parse_failed",
     )
     _DEVICE_MAPS = (
         "groups_by_device", "busy_by_device", "failures_by_device",
@@ -300,6 +306,7 @@ class ServingMetrics:
             "timeouts": self.timeouts,
             "completed": self.completed,
             "failed": self.failed,
+            "lowering_failed": self.lowering_failed,
             "preemptions": self.preemptions,
             "energy_plans": self.energy_plans,
             "lost": self.lost,
@@ -319,6 +326,8 @@ class ServingMetrics:
             "shard_segments": self.shard_segments,
             "shard_migrations": self.shard_migrations,
             "shard_merged": self.shard_merged,
+            "plan_ship_failed": self.plan_ship_failed,
+            "plan_parse_failed": self.plan_parse_failed,
         }
         for tier in sorted(self.shed_by_tier):
             out[f"shed.{tier}"] = self.shed_by_tier[tier]
@@ -371,6 +380,7 @@ class ServingMetrics:
                 "timeouts": self.timeouts,
                 "completed": self.completed,
                 "failed": self.failed,
+                "lowering_failed": self.lowering_failed,
                 "lost": self.lost,
             },
             "tiers": tiers,
@@ -403,6 +413,10 @@ class ServingMetrics:
                 "migrations": self.shard_migrations,
                 "merged": self.shard_merged,
                 "energy_plans": self.energy_plans,
+            },
+            "plan_gossip": {
+                "ship_failed": self.plan_ship_failed,
+                "parse_failed": self.plan_parse_failed,
             },
             "elapsed_seconds": elapsed_seconds,
         }

@@ -450,6 +450,7 @@ class TpuServer:
             for sreq in fresh:
                 if sreq.reject(ServingError(f"lowering failed: {exc}")):
                     self.metrics.failed += 1
+                    self.metrics.lowering_failed += 1
         else:
             for sreq, op in zip(fresh, ops):
                 sreq.op = op

@@ -7,7 +7,7 @@ import repro.runtime.tensorizer as tensorizer_mod
 from repro.edgetpu.device import EdgeTPUDevice
 from repro.edgetpu.isa import Opcode
 from repro.errors import TensorizerError
-from repro.integrity.plan import IntegrityPlan, make_exact_check, make_gemm_check
+from repro.integrity.plan import IntegrityPlan, make_exact_check, make_gemm_checks
 from repro.integrity.verifier import IntegrityVerifier
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer, TensorizerOptions
@@ -111,7 +111,7 @@ class TestOffModePurity:
         def boom(*args, **kwargs):
             raise AssertionError("check constructor called with integrity off")
 
-        monkeypatch.setattr(tensorizer_mod, "make_gemm_check", boom)
+        monkeypatch.setattr(tensorizer_mod, "make_gemm_checks", boom)
         monkeypatch.setattr(tensorizer_mod, "make_exact_check", boom)
         tz = Tensorizer()  # integrity off by default
         op = tz.lower(gemm_request())
@@ -150,19 +150,30 @@ class TestWriteBack:
         np.testing.assert_array_equal(op.result, reference)  # untouched
 
     def test_gemm_check_exact_fallback_for_saturating_strips(self):
+        # Two chunks of one row, one batch: the saturating chunk gets
+        # exact post-clip sums, the other keeps the ABFT sums and slack.
         q = np.array([[100.0, -120.0], [50.0, 127.0]])
-        check = make_gemm_check(
-            label="t",
-            rows=(0, 2),
-            cols=(0, 2),
+        acc = np.array([[10.0, -12.0], [5.0, 12.7]])
+        saturating, clean = make_gemm_checks(
+            [("t0", (0, 1), (0, 2)), ("t1", (0, 1), (0, 2))],
             q=q,
-            out_scale=2.0,
-            acc_row_sums=None,
-            acc_col_sums=None,
-            rescale=1.0,
+            acc_sums=(acc.sum(axis=1, keepdims=True), acc),
+            q_sums=(q.sum(axis=1, keepdims=True), q),
+            rescale=np.full((2, 1), 10.0),
+            out_scales=np.full((2, 1), 2.0),
+            exact=[True, False],
+            row_starts=np.array([0, 1]),
+            heights=np.array([1, 1]),
+            col_starts=np.array([0]),
+            widths=np.array([2]),
         )
-        assert check.exact
-        assert check.row_tol < 0.5  # exact: no quantization slack
+        assert saturating.exact and not clean.exact
+        assert saturating.row_tol < 0.5  # exact: no quantization slack
+        np.testing.assert_array_equal(saturating.row_sums, [-20.0])
+        np.testing.assert_array_equal(saturating.col_sums, [100.0, -120.0])
+        assert clean.row_tol >= 0.5 * 2  # half a quantum per summed element
+        np.testing.assert_array_equal(clean.row_sums, [177.0])
+        np.testing.assert_array_equal(clean.expected, [[50, 127]])
 
     def test_exact_check_write_back_matches_dequantize(self):
         q = np.array([[3, -7], [1, 0]], dtype=np.int8)

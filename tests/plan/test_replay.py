@@ -15,11 +15,7 @@ from repro.edgetpu.isa import Opcode
 from repro.errors import TensorizerError
 from repro.plan import PlanCache
 from repro.runtime.opqueue import OperationRequest, QuantMode
-from repro.runtime.tensorizer import (
-    _GEMM_SCRATCH_SLOTS,
-    Tensorizer,
-    TensorizerOptions,
-)
+from repro.runtime.tensorizer import Tensorizer, TensorizerOptions
 
 
 def _gemm(a, b, quant=QuantMode.SCALE, task_id=0, **attrs):
@@ -262,7 +258,12 @@ class TestInterleaving:
 
 
 class TestScratchLru:
-    """Satellite 1: the GEMM scratch is a keyed LRU, not a single slot."""
+    """The GEMM scratch is reused across geometries and stays bounded.
+
+    Scratch lives in grow-only pools shared by every lowering (nothing in
+    it outlives a call), so alternating geometries never reallocate and
+    the pools are exactly as large as the largest GEMM needs.
+    """
 
     def test_alternating_geometries_stay_resident(self):
         rng = _rng(11)
@@ -270,33 +271,34 @@ class TestScratchLru:
         a2, b2 = rng.normal(size=(48, 40)), rng.normal(size=(40, 36))
         tz = _fresh_tz()
         tz.lower(_gemm(a1, b1))
-        assert len(tz._gemm_scratch) == 1
-        (key1,) = tz._gemm_scratch
-        buffers1 = tz._gemm_scratch[key1]
         tz.lower(_gemm(a2, b2))
-        assert len(tz._gemm_scratch) == 2
+        pools = dict(tz._gemm_scratch)
         # Alternate between the two shapes: no thrash, buffers reused.
+        reference = _fresh_tz()
         for _ in range(3):
-            tz.lower(_gemm(a1, b1))
-            tz.lower(_gemm(a2, b2))
-        assert len(tz._gemm_scratch) == 2
-        assert tz._gemm_scratch[key1] is buffers1
+            for a, b in ((a1, b1), (a2, b2)):
+                got = tz.lower(_gemm(a, b)).result
+                assert got.tobytes() == reference.lower(_gemm(a, b)).result.tobytes()
+        assert tz._gemm_scratch.keys() == pools.keys()
+        assert all(tz._gemm_scratch[name] is pool for name, pool in pools.items())
 
     def test_scratch_is_bounded_with_lru_eviction(self):
         rng = _rng(12)
         tz = _fresh_tz()
-        shapes = [(16 + 8 * i, 16) for i in range(_GEMM_SCRATCH_SLOTS + 2)]
+        shapes = [(16 + 8 * i, 16) for i in range(6)]
         for m, k in shapes:
             tz.lower(_gemm(rng.normal(size=(m, 20)), rng.normal(size=(20, k))))
-        assert len(tz._gemm_scratch) == _GEMM_SCRATCH_SLOTS
-        # The oldest geometry was evicted; re-lowering it re-allocates
-        # (correctness unaffected).
+        # Sized by the largest geometry, not by how many were lowered.
+        m_max = max(m for m, _ in shapes)
+        assert tz._gemm_scratch["q_a"].size == m_max * 20
+        assert tz._gemm_scratch["part0"].size == m_max * 16
+        pools = dict(tz._gemm_scratch)
         m0, k0 = shapes[0]
         lowered = tz.lower(
             _gemm(rng.normal(size=(m0, 20)), rng.normal(size=(20, k0)))
         )
         assert lowered.result.shape == (m0, k0)
-        assert len(tz._gemm_scratch) == _GEMM_SCRATCH_SLOTS
+        assert all(tz._gemm_scratch[name] is pool for name, pool in pools.items())
 
 
 class TestGuards:
@@ -306,3 +308,37 @@ class TestGuards:
                 options=TensorizerOptions(vectorized=False),
                 plan_cache=PlanCache(),
             )
+
+
+class TestModelOperandReuse:
+    """A float32 weight matrix is converted once and re-validated per call."""
+
+    def test_reused_copy_binds_by_identity_and_tracks_mutation(self, monkeypatch):
+        import repro.plan.compiled as compiled
+
+        rng = _rng(13)
+        b = rng.normal(size=(24, 20)).astype(np.float32)
+        tz, cache = _planned_tz()
+        first = _gemm(rng.normal(size=(32, 24)), b)
+        tz.lower(first)
+        hashed = []
+        real_sha = compiled.hashlib.sha256
+        monkeypatch.setattr(
+            compiled.hashlib, "sha256", lambda data=b"": hashed.append(1) or real_sha(data)
+        )
+        again = _gemm(rng.normal(size=(32, 24)), b)
+        warm = tz.lower(again)
+        assert again.inputs[1] is first.inputs[1]  # one float64 copy
+        assert hashed == []  # the model block matched by identity
+        assert cache.hits == 1
+        # Mutating the source in place must never reuse the stale copy.
+        b *= 2
+        mutated = _gemm(rng.normal(size=(32, 24)), b)
+        got = tz.lower(mutated)
+        assert mutated.inputs[1] is not first.inputs[1]
+        np.testing.assert_array_equal(mutated.inputs[1], b.astype(np.float64))
+        for request, lowered in ((again, warm), (mutated, got)):
+            fresh = _fresh_tz().lower(
+                _gemm(request.inputs[0], request.inputs[1].astype(np.float32))
+            )
+            assert lowered.result.tobytes() == fresh.result.tobytes()

@@ -56,6 +56,11 @@ class TestBadShapes:
         with pytest.raises(TensorizerError, match="inner dims"):
             ctx.invoke_operator("conv2D", rand((4, 5)), rand((4, 5)), gemm=True)
 
+    @pytest.mark.parametrize("a_shape, b_shape", [((0, 4), (4, 3)), ((5, 0), (0, 3)), ((5, 4), (4, 0))])
+    def test_empty_gemm_operand_rejected(self, ctx, a_shape, b_shape):
+        with pytest.raises(QuantizationError, match="empty"):
+            ctx.invoke_operator("conv2D", np.ones(a_shape), np.ones(b_shape), gemm=True)
+
     def test_empty_inputs_rejected(self, ctx):
         with pytest.raises(RuntimeAPIError, match="at least one input"):
             ctx.invoke_operator("add")

@@ -8,6 +8,8 @@ through both paths.
 """
 
 import asyncio
+import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from hypothesis import strategies as st
 
 from repro.edgetpu.isa import Opcode
 from repro.errors import TensorizerError
+from repro.plan import PlanCache
 from repro.runtime.opqueue import OperationRequest, QuantMode
-from repro.runtime.tensorizer import Tensorizer
+from repro.runtime.tensorizer import Tensorizer, TensorizerOptions
 from repro.serve.coalescer import coalesce, coalesce_key
 from repro.serve.request import ServeRequest
 
@@ -192,17 +195,24 @@ class TestCoalescedLowering:
         assert np.asarray(solo).tobytes() == np.asarray(via_coalesce).tobytes()
 
     @given(
-        m=st.integers(2, 70),
-        k=st.integers(2, 70),
-        n=st.integers(2, 70),
+        m=st.integers(2, 256),
+        n=st.integers(2, 80),
+        k=st.integers(2, 300),
+        chunks=st.integers(1, 4),
         n_requests=st.integers(2, 4),
-        style=st.sampled_from(["normal", "integers", "constant"]),
+        style=st.sampled_from(["normal", "integers", "constant", "offset", "zero_chunk"]),
+        scaling_rule=st.sampled_from(["measured", "formula"]),
+        integrity=st.sampled_from(["off", "abft", "vote"]),
+        cache_state=st.sampled_from(["none", "cold", "warm"]),
+        b32=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_coalesced_results_bit_identical_to_solo(
-        self, m, k, n, n_requests, style, seed
+        self, m, n, k, chunks, n_requests, style, scaling_rule, integrity,
+        cache_state, b32, seed,
     ):
+        # A coalesced member is its solo lowering, field for field.
         rng = np.random.default_rng(seed)
 
         def matrix(shape):
@@ -210,23 +220,48 @@ class TestCoalescedLowering:
                 return rng.integers(-50, 50, size=shape).astype(np.float64)
             if style == "constant":
                 return np.full(shape, 2.5)
-            return rng.normal(size=shape) * 4
+            if style == "offset":  # saturates under the formula rule
+                return rng.normal(size=shape) * 0.5 + 10.0
+            x = rng.normal(size=shape) * 4
+            if style == "zero_chunk":
+                x[: max(1, shape[0] // 3)] = 0.0
+            return x
 
-        b = matrix((k, n))
-        requests = [
-            gemm_request(matrix((m, k)), b, tenant=f"t{i}")
-            for i in range(n_requests)
-        ]
-        coalesced = Tensorizer().lower_gemm_coalesced(requests)
-        assert len(coalesced) == len(requests)
-        for request, op in zip(requests, coalesced):
-            solo = Tensorizer().lower(request)
-            got = np.asarray(op.result)
-            want = np.asarray(solo.result)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            # The lowered stream stays per-request (demultiplexed).
-            assert op.request is request
+        b = matrix((n, k))
+        if b32:
+            b = b.astype(np.float32)
+
+        def requests():
+            return [
+                OperationRequest(
+                    task_id=i, opcode=Opcode.CONV2D,
+                    inputs=(a, b), quant=QuantMode.SCALE,
+                    attrs={"gemm": True, "gemm_chunks": chunks},
+                    input_name=f"in{i}",
+                )
+                for i, a in enumerate(data)
+            ]
+
+        data = [matrix((m, n)) for _ in range(n_requests)]
+        group = requests()
+        tz = _cached_tz(cache_state, scaling_rule, integrity)
+        _warm(tz, cache_state, group[0])
+        coalesced = tz.lower_gemm_coalesced(group)
+        assert len(coalesced) == len(group)
+
+        solos = []
+        for request in requests():
+            ref = _cached_tz(cache_state, scaling_rule, integrity)
+            _warm(ref, cache_state, request)
+            solos.append(ref.lower(request))
+        ref = _cached_tz("warm", scaling_rule, integrity)
+        _warm(ref, "warm", requests()[0])
+        warm_cpu = ref.lower(requests()[0]).cpu_seconds
+
+        for index, (op, solo) in enumerate(zip(coalesced, solos)):
+            assert op.request is group[index]
+            want = _expected_member(solo, "in0", index, cache_state, warm_cpu)
+            assert lowering_fingerprint(op) == lowering_fingerprint(want)
 
 
 def _typed_gemm(a, b):
@@ -304,3 +339,186 @@ class TestKeyMemo:
         ]
         for sreq in sreqs:
             assert sreq.coalesce_key == coalesce_key(sreq.request)
+
+
+# ---------------------------------------------------------------------------
+# Full-lowering pins: everything a GEMM lowering hands the serving layer
+# ---------------------------------------------------------------------------
+
+
+def lowering_fingerprint(op):
+    """Every observable part of a lowered GEMM, as comparable values.
+
+    Floats are compared through ``float.hex`` and arrays through their
+    dtype, shape and bytes, so signed zeros and last-bit differences
+    count.
+    """
+    result = np.asarray(op.result)
+    instrs = tuple(
+        tuple(
+            (f.name, v.hex() if isinstance(v, float) else v)
+            for f in dataclasses.fields(i)
+            for v in [getattr(i, f.name)]
+        )
+        for i in op.instrs
+    )
+    checks = None
+    if op.integrity is not None:
+        checks = (op.integrity.mode,) + tuple(
+            (
+                c.label, c.rows, c.cols,
+                c.expected.dtype.str, c.expected.shape, c.expected.tobytes(),
+                float(c.out_scale).hex(),
+                c.row_sums.dtype.str, c.row_sums.tobytes(),
+                c.col_sums.dtype.str, c.col_sums.tobytes(),
+                float(c.row_tol).hex(), float(c.col_tol).hex(), bool(c.exact),
+            )
+            for c in op.integrity.checks.values()
+        )
+    return (
+        result.dtype.str, result.shape, result.tobytes(),
+        instrs, checks, int(op.saturated), float(op.cpu_seconds).hex(),
+        tuple(x.dtype.str for x in op.request.inputs),
+    )
+
+
+def _cached_tz(cache_state, scaling_rule="measured", integrity="off"):
+    options = TensorizerOptions(scaling_rule=scaling_rule, integrity=integrity)
+    return Tensorizer(
+        options=options, plan_cache=None if cache_state == "none" else PlanCache()
+    )
+
+
+def _warm(tz, cache_state, template):
+    """Bring *tz*'s plan cache to *cache_state* for requests like *template*."""
+    if cache_state == "warm":
+        a, b = template.inputs
+        tz.lower(dataclasses.replace(
+            template, inputs=(np.zeros_like(a), b), input_name="warmup"
+        ))
+
+
+def _expected_member(solo, first_name, index, cache_state, warm_cpu):
+    """What coalesced member *index* must be, given its solo lowering.
+
+    A group keeps each member's own data source but shares the first
+    member's model source; the group's model builds are charged to the
+    first member only when a plan is captured (a plan-free group builds
+    per member); the shared-B reshape cost is charged to the first
+    member, so later members pay what a model-reusing bind pays.
+    """
+    name = solo.request.input_name
+    instrs = []
+    for instr in solo.instrs:
+        instr = dataclasses.replace(
+            instr, model_cache_key=instr.model_cache_key.replace(name, first_name, 1)
+        )
+        if index > 0 and cache_state == "cold":
+            instr = dataclasses.replace(instr, model_build_seconds=0.0)
+        instrs.append(instr)
+    return dataclasses.replace(
+        solo,
+        instrs=instrs,
+        cpu_seconds=solo.cpu_seconds if index == 0 else warm_cpu,
+    )
+
+
+#: Expected digest of :func:`_pinned_sequence` (and its stats line):
+#: recorded from the per-request lowering loops this kernel replaced.
+PINNED_DIGEST = "cd61d0d8b8ae915157436cb669849581c7e19b0dd8c68b8008a166c40e73d52d"
+PINNED_STATS = (58, 4, 5, 58)
+
+
+def _pinned_sequence():
+    """A fixed mix of GEMM lowerings covering every kernel branch."""
+    rng = np.random.default_rng(20261018)
+    shapes = [  # (m, n, k, gemm_chunks): ragged chunks and batches
+        (24, 16, 12, None),
+        (70, 48, 40, 3),
+        (250, 33, 200, 3),
+        (256, 60, 300, 4),
+    ]
+    runs = []
+    for scaling_rule in ("measured", "formula"):
+        for integrity in ("off", "abft", "vote"):
+            for cache_state in ("none", "cold", "warm"):
+                runs.append((scaling_rule, integrity, cache_state))
+    for scaling_rule, integrity, cache_state in runs:
+        tz = _cached_tz(cache_state, scaling_rule, integrity)
+        for m, n, k, chunks in shapes:
+            attrs = {"gemm": True}
+            if chunks is not None:
+                attrs["gemm_chunks"] = chunks
+            # Narrow, offset data saturates under the loose formula rule.
+            spread, offset = (0.5, 10.0) if scaling_rule == "formula" else (3.0, 0.0)
+            b = (rng.normal(size=(n, k)) * spread + offset).astype(np.float32)
+
+            def gemm(i, quant=QuantMode.SCALE, name=None):
+                a = rng.normal(size=(m, n)) * spread + offset
+                if i == 1:
+                    a[: m // 2] = 0.0  # an all-zero chunk: fallback scale
+                return OperationRequest(
+                    task_id=i, opcode=Opcode.CONV2D, inputs=(a, b), quant=quant,
+                    attrs=dict(attrs), input_name=name,
+                )
+
+            if cache_state == "warm":
+                tz.lower(gemm(9))
+            yield tz, [tz.lower(gemm(0))]
+            yield tz, tz.lower_gemm_coalesced([gemm(i) for i in range(3)])
+            yield tz, tz.lower_gemm_coalesced(
+                [gemm(i, name=f"buf{i}") for i in range(2)]
+            )
+            yield tz, [tz.lower(gemm(1, quant=QuantMode.GLOBAL))]
+        yield tz, None
+
+
+_PINNED_STAT_FIELDS = (
+    "operations_lowered", "instructions_emitted", "models_built",
+    "model_build_seconds", "saturated_values", "tiles_lowered",
+    "batched_dispatches", "coalesced_operations", "integrity_plans",
+    "integrity_tiles_planned", "plan_captures", "plan_replays",
+)
+
+
+def _pinned_digest():
+    h = hashlib.sha256()
+    stats = []
+    for tz, ops in _pinned_sequence():
+        if ops is None:  # end of one Tensorizer's run
+            stats.append(tuple(getattr(tz.stats, f) for f in _PINNED_STAT_FIELDS))
+            continue
+        for op in ops:
+            h.update(repr(lowering_fingerprint(op)).encode())
+    h.update(repr(stats).encode())
+    return h.hexdigest(), stats
+
+
+class TestPinnedLowerings:
+    def test_fixed_mix_matches_the_recorded_digest(self):
+        digest, _ = _pinned_digest()
+        assert digest == PINNED_DIGEST
+
+    def test_fresh_path_stats_are_pinned(self):
+        # Plan-free Tensorizer, fixed request sequence: the work counters
+        # the benchmark and the profiler report must not move.
+        tz = Tensorizer(options=TensorizerOptions(integrity="abft"))
+        rng = np.random.default_rng(7)
+        b = rng.normal(size=(60, 300))
+        for m, chunks, group in ((256, 4, 1), (256, 4, 3), (70, 3, 2), (40, None, 1)):
+            attrs = {"gemm": True}
+            if chunks is not None:
+                attrs["gemm_chunks"] = chunks
+            reqs = [
+                OperationRequest(
+                    task_id=i, opcode=Opcode.CONV2D,
+                    inputs=(rng.normal(size=(m, 60)), b),
+                    quant=QuantMode.SCALE, attrs=dict(attrs),
+                )
+                for i in range(group)
+            ]
+            tz.lower_gemm_coalesced(reqs)
+        s = tz.stats
+        got = (s.tiles_lowered, s.batched_dispatches, s.coalesced_operations,
+               s.integrity_tiles_planned)
+        assert got == PINNED_STATS

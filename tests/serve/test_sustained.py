@@ -316,6 +316,9 @@ class TestRequeueKeepsOp:
             monkeypatch.setattr(server.tensorizer, "lower_gemm_coalesced", broken)
             server._lower_and_launch(group)
             assert server.metrics.failed == 2
+            assert server.metrics.lowering_failed == 2
+            outcomes = server.metrics.snapshot()["outcomes"]
+            assert outcomes["failed"] == outcomes["lowering_failed"] == 2
             for sreq in fresh:
                 assert sreq.failed and sreq.op is None
                 with pytest.raises(ServingError, match="lowering failed"):
