@@ -24,7 +24,7 @@ vary run to run — the invariants hold regardless.
 from __future__ import annotations
 
 import asyncio
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -36,7 +36,8 @@ from repro.errors import DeviceFailure, QueueFull, RequestTimeout
 from repro.host.platform import Platform
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer
-from repro.serve.server import ServeConfig, TpuServer
+from repro.serve.metrics import exactly_once_violations
+from repro.serve.server import ServeConfig, TpuServer, make_server
 
 
 @dataclass(frozen=True)
@@ -181,22 +182,6 @@ async def _campaign_client(
             continue  # surfaced failure — counted server-side
 
 
-def _make_server(platform: Platform, config: ServeConfig, workers: int):
-    """In-process server, or the multi-process one when *workers* > 0.
-
-    The scenario code is identical either way — that is the point: the
-    campaign proves the serving contract holds across process
-    boundaries without loosening a single invariant.
-    """
-    if workers:
-        from repro.mp import MpTpuServer
-
-        return MpTpuServer(
-            platform, config, workers=min(workers, platform.num_tpus)
-        )
-    return TpuServer(platform, config)
-
-
 async def _run_scenario(
     scenario: FaultScenario, seed: int, workers: int = 0
 ) -> ScenarioResult:
@@ -241,7 +226,11 @@ async def _run_scenario(
 
     event_log: List[Tuple[str, int, int]] = []
     results: dict = {}
-    async with _make_server(platform, config, workers) as server:
+    # The scenario code is identical in-process and multi-process: the
+    # campaign proves the serving contract holds across the process
+    # boundary without loosening a single invariant.
+    workers = min(workers, platform.num_tpus)
+    async with make_server(platform, config, workers) as server:
         server.pool.observer = lambda event, serve_id, device: event_log.append(
             (event, serve_id, device)
         )
@@ -289,23 +278,7 @@ def _check_invariants(
         violations.append("admission queue overflowed a sized-to-fit campaign")
 
     # Exactly-once, proven from the observer event stream.
-    by_id: Dict[int, Counter] = defaultdict(Counter)
-    for event, serve_id, _ in event_log:
-        by_id[serve_id][event] += 1
-    for serve_id, counts in sorted(by_id.items()):
-        if counts["deliver"] > 1:
-            violations.append(
-                f"serve_id {serve_id} delivered {counts['deliver']} times"
-            )
-        if counts["deliver"] and counts["give-up"]:
-            violations.append(
-                f"serve_id {serve_id} both delivered and gave up"
-            )
-        if counts["deliver"] and counts["timeout"]:
-            violations.append(
-                f"serve_id {serve_id} both delivered and timed out"
-            )
-    delivers = sum(c["deliver"] for c in by_id.values())
+    violations.extend(exactly_once_violations(event_log, out["completed"]))
     delivered_results = sum(
         1 for key in results if isinstance(key[1], int)
     )
@@ -313,10 +286,6 @@ def _check_invariants(
         violations.append(
             f"client-side deliveries ({delivered_results}) != server "
             f"completed ({out['completed']})"
-        )
-    if delivers != out["completed"]:
-        violations.append(
-            f"deliver events ({delivers}) != completed ({out['completed']})"
         )
 
     # Bit-identity of every delivered result vs solo lowering.

@@ -26,7 +26,7 @@ every injector RNG derive from it.
 from __future__ import annotations
 
 import asyncio
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -38,6 +38,7 @@ from repro.errors import DeviceFailure, QueueFull, RequestTimeout
 from repro.host.platform import Platform
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer
+from repro.serve.metrics import exactly_once_violations
 from repro.serve.server import ServeConfig, TpuServer
 
 
@@ -281,16 +282,7 @@ def _check_integrity_invariants(
         )
 
     # Exactly-once, proven from the observer event stream.
-    by_id: Dict[int, Counter] = defaultdict(Counter)
-    for event, serve_id, _ in event_log:
-        by_id[serve_id][event] += 1
-    for serve_id, counts in sorted(by_id.items()):
-        if counts["deliver"] > 1:
-            violations.append(
-                f"serve_id {serve_id} delivered {counts['deliver']} times"
-            )
-        if counts["deliver"] and counts["give-up"]:
-            violations.append(f"serve_id {serve_id} both delivered and gave up")
+    violations.extend(exactly_once_violations(event_log, out["completed"]))
 
     # 100% detection: no corrupt bytes may reach a client.  Every
     # delivered result must be bit-identical to the solo clean lowering.

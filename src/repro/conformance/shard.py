@@ -41,7 +41,8 @@ from repro.nn.models import MODELS, sample_input
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.scheduler import build_dispatch_groups
 from repro.runtime.tensorizer import Tensorizer
-from repro.serve.server import ServeConfig, TpuServer
+from repro.serve.metrics import exactly_once_violations
+from repro.serve.server import ServeConfig, TpuServer, make_server
 from repro.shard import ShardPlanner, ShardProfile
 from repro.telemetry.tracer import SpanTracer
 
@@ -111,22 +112,6 @@ def _config(**kwargs: object) -> ServeConfig:
     return ServeConfig(**kwargs)  # type: ignore[arg-type]
 
 
-def _make_server(platform: Platform, config: ServeConfig, workers: int):
-    """In-process server, or the multi-process one when *workers* > 0.
-
-    The checks themselves are identical either way: the suite's
-    invariants (bit-identity, fan-out, exactly-once, migration,
-    quarantine, adjudication) must survive the process boundary intact.
-    """
-    if workers:
-        from repro.mp import MpTpuServer
-
-        return MpTpuServer(
-            platform, config, workers=min(workers, platform.num_tpus)
-        )
-    return TpuServer(platform, config)
-
-
 async def _run_requests(
     server: TpuServer,
     requests: Sequence[OperationRequest],
@@ -143,26 +128,6 @@ async def _run_requests(
     return results
 
 
-def _exactly_once_violations(
-    name: str, events: Sequence[Tuple[str, int, str]], expected: int
-) -> List[str]:
-    """Event-log invariants: one deliver per request, none duplicated."""
-    delivered: Dict[int, int] = {}
-    for event, serve_id, _device in events:
-        if event == "deliver":
-            delivered[serve_id] = delivered.get(serve_id, 0) + 1
-    out = []
-    if len(delivered) != expected:
-        out.append(
-            f"shard: {name} delivered {len(delivered)} requests, "
-            f"expected {expected}"
-        )
-    doubles = {sid: n for sid, n in delivered.items() if n != 1}
-    if doubles:
-        out.append(f"shard: {name} duplicated deliveries {doubles}")
-    return out
-
-
 # -- gemms -------------------------------------------------------------
 
 
@@ -171,7 +136,7 @@ def _check_gemm(name: str, m: int, k: int, n: int, seed: int,
     rng = derive_rng(seed, "shard", name)
     request = _gemm_request(1, rng, m, k, n)
     want = _reference(request)
-    server = _make_server(_pool_platform(), _config(), workers)
+    server = make_server(_pool_platform(), _config(), workers)
     events: List[Tuple[str, int, str]] = []
     (got,) = asyncio.run(_run_requests(server, [request], events))
     snap = server.snapshot()
@@ -201,7 +166,9 @@ def _check_gemm(name: str, m: int, k: int, n: int, seed: int,
         )
     if snap["outcomes"]["lost"]:
         report.violations.append(f"shard: {name} lost a request")
-    report.violations.extend(_exactly_once_violations(name, events, 1))
+    report.violations.extend(
+        f"shard: {name} {problem}" for problem in exactly_once_violations(events, 1)
+    )
 
 
 # -- models ------------------------------------------------------------
@@ -258,7 +225,7 @@ def _with_served_server(
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()
-    server = _make_server(platform, _config(), workers)
+    server = make_server(platform, _config(), workers)
     asyncio.run_coroutine_threadsafe(server.start(), loop).result(timeout=60)
     try:
         out = fn(server, loop)
@@ -443,7 +410,7 @@ def _check_scenario(scenario: ShardScenario, seed: int,
     references = [_reference(r) for r in requests]
     platform = _pool_platform()
     scenario.arm(platform)
-    server = _make_server(platform, _config(**scenario.config), workers)
+    server = make_server(platform, _config(**scenario.config), workers)
     events: List[Tuple[str, int, str]] = []
     results = asyncio.run(_run_requests(server, requests, events))
     snap = server.snapshot()
@@ -470,7 +437,8 @@ def _check_scenario(scenario: ShardScenario, seed: int,
     if snap["outcomes"]["lost"]:
         report.violations.append(f"shard: {scenario.name} lost a request")
     report.violations.extend(
-        _exactly_once_violations(scenario.name, events, scenario.requests)
+        f"shard: {scenario.name} {problem}"
+        for problem in exactly_once_violations(events, scenario.requests)
     )
     if scenario.expect is not None:
         problem = scenario.expect(snap)
@@ -545,6 +513,7 @@ def run_shard(seed: int, workers: int = 0) -> ShardReport:
     the profiled-splits check is planner-only and runs unchanged.
     """
     report = ShardReport()
+    workers = min(workers, SHARD_TPUS)
     for name, m, k, n in GEMM_SHAPES:
         _check_gemm(name, m, k, n, seed, report, workers)
     for device, name in enumerate(sorted(MODELS), start=2):

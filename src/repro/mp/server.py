@@ -1,11 +1,15 @@
-"""Multi-process serving: asyncio admission tier + worker data planes.
+"""Multi-process serving: the asyncio front-end over worker data planes.
 
-:class:`MpTpuServer` keeps the :class:`~repro.serve.server.TpuServer`
-front-of-house contract — admission control, tenant fairness, deadline
-expiry, GEMM coalescing, exactly-once delivery, the ``snapshot()``
-schema — while host lowering and simulated-device execution run in N
-spawned worker processes, each owning a contiguous slice of the TPUs
-(GPTPU's parallel host-side task dispatch, §6.1, without the GIL).
+:class:`MpTpuServer` is a :class:`~repro.serve.server.TpuServer` whose
+data plane is a fleet of N spawned worker processes, each owning a
+contiguous slice of the TPUs (GPTPU's parallel host-side task
+dispatch, §6.1, without the GIL).  The front-end — admission control,
+tenant fairness, SLO stamping and shedding, deadline expiry, the
+overload governor, preemption bookkeeping, GEMM coalescing and the
+client API — is inherited unchanged; this class supplies the fleet's
+start/stop, shipping of coalesce groups (``_launch_group``), parked
+group preemption (``_preempt``), drain, crash requeue, plan gossip and
+the merged ``snapshot()``.
 
 Data path: operand and result tensors cross the boundary through
 per-worker :class:`~repro.mp.shm.ShmRing` segments (zero-copy views);
@@ -30,29 +34,19 @@ import threading
 import time
 from collections import deque
 from types import SimpleNamespace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.edgetpu.isa import Opcode
-from repro.errors import DeviceFailure, LoadShed, RequestTimeout, ServingError
+from repro.errors import DeviceFailure, RequestTimeout, ServingError
 from repro.host.platform import Platform
 from repro.mp.messages import WorkerSpec, decode_error, encode_request
 from repro.mp.shm import RingFull, ShmRing
 from repro.mp.worker import worker_main
-from repro.runtime.opqueue import OperationRequest, QuantMode
-from repro.serve.admission import AdmissionController
-from repro.serve.coalescer import coalesce
 from repro.serve.metrics import ServingMetrics
 from repro.serve.request import ServeRequest
-from repro.serve.server import ServeConfig
-from repro.serve.slo import OverloadController
-from repro.telemetry import (
-    SpanTracer,
-    get_tracer,
-    merge_chrome_traces,
-    to_chrome_trace,
-)
+from repro.serve.server import ServeConfig, TpuServer
+from repro.telemetry import SpanTracer, merge_chrome_traces, to_chrome_trace
 
 #: Per-worker shared-memory ring capacity (one request ring + one
 #: result ring each).  16 MiB holds hundreds of in-flight 1k² float32
@@ -122,7 +116,7 @@ class _Worker:
             return False
 
 
-class MpTpuServer:
+class MpTpuServer(TpuServer):
     """Drop-in multi-process variant of :class:`TpuServer`."""
 
     def __init__(
@@ -136,10 +130,15 @@ class MpTpuServer:
         base_seed: int = 0,
         ring_bytes: int = DEFAULT_RING_BYTES,
     ) -> None:
-        self.platform = platform or Platform()
-        self.config = config or ServeConfig()
-        self._clock = clock
-        self.tracer = tracer if tracer is not None else get_tracer()
+        # The front-end only: the worker fleet replaces the in-process
+        # Tensorizer and device pool that TpuServer.__init__ builds.
+        self._init_front_end(
+            platform,
+            config,
+            clock,
+            tracer,
+            ServingMetrics(base_seed=base_seed, worker_id=0),
+        )
         n = self.platform.num_tpus
         if not 1 <= workers <= n:
             raise ValueError(
@@ -148,23 +147,6 @@ class MpTpuServer:
         self.num_workers = workers
         self.base_seed = base_seed
         self.ring_bytes = ring_bytes
-        self.metrics = ServingMetrics(base_seed=base_seed, worker_id=0)
-        self.slo = self.config.slo
-        scheduling = self.config.scheduling
-        if scheduling == "auto":
-            scheduling = "edf" if self.slo is not None else "rr"
-        self.admission = AdmissionController(
-            self.config.max_queue_depth,
-            self.config.per_tenant_limit,
-            scheduling=scheduling,
-        )
-        self.overload: Optional[OverloadController] = (
-            OverloadController(self.slo, self.config.max_queue_depth)
-            if self.slo is not None and self.config.shed_enabled
-            else None
-        )
-        #: Timeout count already fed to the overload governor.
-        self._timeouts_seen = 0
         self.pool = _PoolFacade()
         # Contiguous device slices; worker 0 owns tpu0, so single-request
         # behaviour (and the shard suite's tpu0 expectations) match the
@@ -184,12 +166,8 @@ class MpTpuServer:
         self._routes: Dict[tuple, int] = {}
         self._inflight: Dict[int, _Shipment] = {}
         self._plan_blobs: Dict[str, bytes] = {}
-        self._serve_seq = 0
-        self._wakeup = asyncio.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._loop_task: Optional[asyncio.Task] = None
         self._stopping = False
-        self.started_at: Optional[float] = None
         self.worker_crashes = 0
         self.requeued = 0
         self._final_snapshot: Optional[dict] = None
@@ -197,12 +175,9 @@ class MpTpuServer:
 
     # -- lifecycle ------------------------------------------------------
 
-    async def start(self) -> None:
-        """Spawn the worker fleet and start the admission loop."""
-        if self._loop_task is not None:
-            return
+    async def _start_plane(self) -> None:
+        """Spawn the worker fleet and wait until every worker is ready."""
         self._loop = asyncio.get_running_loop()
-        self.started_at = self._clock()
         ctx = mp.get_context("spawn")
         base = 0
         for worker in self._workers:
@@ -254,19 +229,12 @@ class MpTpuServer:
             asyncio.gather(*(w.ready.wait() for w in self._workers)),
             timeout=120.0,
         )
-        self._loop_task = self._loop.create_task(
-            self._dispatch_loop(), name="mp-serve-dispatch"
-        )
 
-    async def stop(self) -> None:
+    async def _stop_plane(self) -> None:
         """Drain snapshots, stop workers, reap processes, unlink rings."""
         if self._loop is None:
             return
         self._stopping = True
-        if self._loop_task is not None:
-            self._loop_task.cancel()
-            await asyncio.gather(self._loop_task, return_exceptions=True)
-            self._loop_task = None
         # Fail anything still unresolved (mirrors pool.stop semantics:
         # stop() after drain() sees none).
         for gid in list(self._inflight):
@@ -295,13 +263,6 @@ class MpTpuServer:
             self._teardown_worker(worker)
         self._loop = None
 
-    async def __aenter__(self) -> "MpTpuServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.stop()
-
     def _teardown_worker(self, worker: _Worker) -> None:
         """Remove readers, close pipes, unlink rings (idempotent)."""
         worker.alive = False
@@ -329,112 +290,6 @@ class MpTpuServer:
                 ring.unlink()
         worker.req_ring = worker.res_ring = None
 
-    # -- client API (mirrors TpuServer) ---------------------------------
-
-    def submit_nowait(
-        self,
-        request: OperationRequest,
-        *,
-        deadline_seconds: Optional[float] = None,
-    ) -> "asyncio.Future":
-        """Admit one request; raise :class:`QueueFull` synchronously."""
-        if self._loop_task is None:
-            raise ServingError(
-                "server is not started; use 'async with MpTpuServer(...)'"
-            )
-        now = self._clock()
-        self._serve_seq += 1
-        serve_id = self._serve_seq
-        request = dataclasses.replace(
-            request,
-            task_id=serve_id,
-            input_name=request.input_name or f"serve{serve_id}",
-        )
-        tier_name, priority, sheddable = "", 0, True
-        deadline = None if deadline_seconds is None else now + deadline_seconds
-        if self.slo is not None:
-            tier = self.slo.tier_of(request.tenant)
-            tier_name, priority, sheddable = tier.name, tier.priority, tier.sheddable
-            if deadline is None and tier.deadline_budget is not None:
-                deadline = now + tier.deadline_budget
-        sreq = ServeRequest(
-            serve_id=serve_id,
-            tenant=request.tenant,
-            request=request,
-            future=asyncio.get_running_loop().create_future(),
-            submitted=now,
-            deadline=deadline,
-            tier=tier_name,
-            priority=priority,
-            sheddable=sheddable,
-        )
-        self.metrics.submitted += 1
-        if tier_name:
-            self.metrics.submitted_by_tier[tier_name] += 1
-        if self.overload is not None and self.overload.should_shed(
-            priority, sheddable
-        ):
-            self.metrics.record_shed(tier_name)
-            self.tracer.instant(
-                "shed", cat="serve", track="mp-server", serve_id=serve_id,
-                tier=tier_name,
-            )
-            raise LoadShed(
-                f"tier {tier_name!r} shed under overload "
-                f"(level {self.overload.level}); retry later",
-                tier=tier_name,
-            )
-        try:
-            self.admission.offer(sreq)
-        except Exception:
-            self.metrics.rejected += 1
-            self.tracer.instant(
-                "reject", cat="serve", track="mp-server", serve_id=serve_id
-            )
-            raise
-        self.tracer.instant(
-            "submit",
-            cat="serve",
-            track="mp-server",
-            serve_id=serve_id,
-            tenant=request.tenant,
-        )
-        self._wakeup.set()
-        return sreq.future
-
-    async def submit(
-        self,
-        request: OperationRequest,
-        *,
-        deadline_seconds: Optional[float] = None,
-    ) -> np.ndarray:
-        """Admit one request and await its result."""
-        return await self.submit_nowait(request, deadline_seconds=deadline_seconds)
-
-    async def gemm(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        *,
-        tenant: str = "",
-        quant: QuantMode = QuantMode.SCALE,
-        chunks: Optional[int] = None,
-        deadline_seconds: Optional[float] = None,
-    ) -> np.ndarray:
-        """Convenience wrapper: submit one conv2D-style GEMM (§7.1.2)."""
-        attrs: Mapping[str, Any] = (
-            {"gemm": True} if chunks is None else {"gemm": True, "gemm_chunks": chunks}
-        )
-        request = OperationRequest(
-            task_id=0,
-            opcode=Opcode.CONV2D,
-            inputs=(np.asarray(a), np.asarray(b)),
-            quant=quant,
-            attrs=attrs,
-            tenant=tenant,
-        )
-        return await self.submit(request, deadline_seconds=deadline_seconds)
-
     async def drain(self) -> None:
         """Wait until no request is queued, parked, or in a worker."""
         while (
@@ -445,53 +300,16 @@ class MpTpuServer:
             self._wakeup.set()
             await asyncio.sleep(0.001)
 
-    # -- dispatch / shipping --------------------------------------------
+    # -- data plane: preemption and shipping -----------------------------
 
-    async def _dispatch_loop(self) -> None:
-        while True:
-            if self.admission.depth == 0:
-                self._wakeup.clear()
-                await self._wakeup.wait()
-            await asyncio.sleep(0)
-            now = self._clock()
-            for sreq in self.admission.expire(now):
-                if sreq.reject(
-                    RequestTimeout(
-                        f"request {sreq.serve_id} expired in the admission queue"
-                    )
-                ):
-                    self.metrics.record_timeout(sreq)
-                    self._emit("timeout", sreq.serve_id, -1)
-            depth = self.admission.depth
-            self.metrics.sample_queue_depth(depth)
-            batch = self.admission.drain(self.config.max_batch)
-            if self.overload is not None:
-                # Timeout delta (admission + worker-reported) drives the
-                # EWMA: the slow-death overload signal.
-                misses = self.metrics.timeouts - self._timeouts_seen
-                self._timeouts_seen = self.metrics.timeouts
-                self.overload.observe(depth, misses, len(batch))
-            if not batch:
-                continue
-            if self.slo is not None and self.slo.preempt:
-                self._preempt_parked(batch)
-            sp = self.tracer.begin(
-                "ship_batch", cat="serve", track="mp-server", drained=len(batch)
-            )
-            for group in coalesce(batch, self.config.max_coalesce):
-                self._ship_group(group)
-            self.tracer.end(sp)
+    def _preempt(self, urgent: int) -> List[ServeRequest]:
+        """Take back parked groups whose every live member ranks below *urgent*.
 
-    def _preempt_parked(self, batch: List[ServeRequest]) -> None:
-        """Requeue parked lower-tier groups ahead of an urgent batch.
-
-        In the MP server only groups still parked on a worker's pending
-        deque (never shipped, pre-lowering) are preemptible — anything
-        already in a worker's ring may be executing.  Whole groups are
-        un-coalesced and their members re-admitted via ``requeue``, so
-        exactly-once delivery is untouched: no work was in flight.
+        Only groups still parked on a worker's pending deque (never
+        shipped, not lowered) are preemptible — anything already in a
+        worker's ring may be executing.
         """
-        urgent = min(s.priority for s in batch if not s.failed)
+        victims: List[ServeRequest] = []
         for worker in self._workers:
             if not worker.pending:
                 continue
@@ -500,20 +318,15 @@ class MpTpuServer:
                 live = [s for s in group if not s.failed]
                 if live and all(s.priority > urgent for s in live):
                     for sreq in live:
-                        sreq.preemptions += 1
-                        self.metrics.preemptions += 1
-                        self._emit("preempt", sreq.serve_id, -1)
-                        self.admission.requeue(sreq)
+                        self._emit("preempt", sreq.serve_id)
+                    victims.extend(live)
                 else:
                     keep.append(group)
             worker.pending = keep
+        return victims
 
     def _alive_workers(self) -> List[_Worker]:
         return [w for w in self._workers if w.alive]
-
-    def _emit(self, event: str, serve_id: int, device: int) -> None:
-        if self.pool.observer is not None:
-            self.pool.observer(event, serve_id, device)
 
     def _route(self, group: List[ServeRequest]) -> Optional[_Worker]:
         """Pick the worker for one coalescible group (sticky by key)."""
@@ -531,7 +344,7 @@ class MpTpuServer:
             self._routes[key] = pick.wid
         return pick
 
-    def _ship_group(self, group: List[ServeRequest]) -> None:
+    def _launch_group(self, group: List[ServeRequest]) -> None:
         live = [s for s in group if not s.failed]
         if not live:
             return
@@ -542,7 +355,7 @@ class MpTpuServer:
                     DeviceFailure("no live data-plane workers remain")
                 ):
                     self.metrics.failed += 1
-                    self._emit("give-up", sreq.serve_id, -1)
+                    self._emit("give-up", sreq.serve_id)
             return
         if worker.pending:
             # Preserve FIFO per worker behind already-parked groups.
@@ -656,22 +469,22 @@ class MpTpuServer:
                     f"request {gid} completed after its deadline"
                 )):
                     self.metrics.record_timeout(sreq)
-                self._emit("timeout", gid, -1)
+                self._emit("timeout", gid)
                 return
             # resolve() reads sreq.op.result — THE single delivery path
             # (record_delivery) stays intact across the process boundary.
             sreq.op = SimpleNamespace(result=result)
             if self.metrics.record_delivery(sreq, self._clock()):
-                self._emit("deliver", gid, -1)
+                self._emit("deliver", gid)
         else:
             exc = decode_error(err)
             if sreq.reject(exc):
                 if isinstance(exc, RequestTimeout):
                     self.metrics.record_timeout(sreq)
-                    self._emit("timeout", gid, -1)
+                    self._emit("timeout", gid)
                 else:
                     self.metrics.failed += 1
-                    self._emit("give-up", gid, -1)
+                    self._emit("give-up", gid)
 
     def _gossip_plans(self, origin: _Worker, plans: List[Tuple[str, bytes]]) -> None:
         fresh = [
@@ -716,10 +529,10 @@ class MpTpuServer:
         for sreq in orphans:
             if not sreq.failed and not sreq.future.done():
                 self.requeued += 1
-                self._emit("retry", sreq.serve_id, -1)
-                self._ship_group([sreq])
+                self._emit("retry", sreq.serve_id)
+                self._launch_group([sreq])
         for group in parked:
-            self._ship_group([s for s in group if not s.failed])
+            self._launch_group([s for s in group if not s.failed])
 
     # -- snapshots / traces ---------------------------------------------
 

@@ -12,12 +12,18 @@ Protocol: see :mod:`repro.mp.messages`.  The worker never forwards
 terminal pool events (deliver / give-up / timeout); the parent is
 authoritative for exactly-once accounting, which is what makes a crash
 requeue of this worker's in-flight requests safe.
+
+The event loop never blocks on the parent: messages to the parent go
+through :class:`_Outbox`, whose writer thread is the only one that can
+wait for the parent to read.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
+import queue
+import threading
 import time
 from collections import deque
 from dataclasses import replace
@@ -38,6 +44,41 @@ from repro.plan import parse_plan, serialize_plan
 from repro.serve.metrics import ServingMetrics
 from repro.serve.server import TpuServer
 from repro.telemetry import SpanTracer, to_chrome_trace
+
+
+class _Outbox:
+    """The event pipe to the parent, written in order by one thread.
+
+    A message larger than the pipe buffer, such as a captured plan blob,
+    blocks its writer until the parent reads it.  The parent may at that
+    moment be blocked writing to this worker's command pipe, or waiting
+    for its snapshot reply.  Only the writer thread waits, so the event
+    loop keeps reading commands and the two processes never wait on
+    each other.
+    """
+
+    def __init__(self, conn) -> None:
+        self._conn = conn
+        self._queue: "queue.SimpleQueue[Optional[tuple]]" = queue.SimpleQueue()
+        self._thread = threading.Thread(
+            target=self._write, name="worker-outbox", daemon=True
+        )
+        self._thread.start()
+
+    def send(self, msg: tuple) -> None:
+        self._queue.put(msg)
+
+    def close(self, timeout: float) -> None:
+        """Write what is queued (waiting at most *timeout*), then stop."""
+        self._queue.put(None)
+        self._thread.join(timeout)
+
+    def _write(self) -> None:
+        while (msg := self._queue.get()) is not None:
+            try:
+                self._conn.send(msg)
+            except (BrokenPipeError, OSError):
+                return  # parent is gone; the daemon flag reaps us shortly
 
 
 class _WorkerState:
@@ -67,10 +108,7 @@ def _forward_event(state: _WorkerState, event: str, local_id: int, device: int) 
     if event in TERMINAL_EVENTS:
         return
     gid = state.id_map.get(local_id, -1)
-    try:
-        state.outbox.send(("event", event, gid, _global_device(state.spec, device)))
-    except (BrokenPipeError, OSError):
-        pass  # parent is gone; the daemon flag reaps us shortly
+    state.outbox.send(("event", event, gid, _global_device(state.spec, device)))
 
 
 def _ship_new_plans(state: _WorkerState) -> None:
@@ -161,7 +199,7 @@ def _snapshot_payload(
     }
 
 
-async def _amain(spec: WorkerSpec, inbox, outbox, snapbox) -> None:
+async def _amain(spec: WorkerSpec, inbox, outbox_conn, snapbox) -> None:
     host_t0 = time.process_time()
     wall_t0 = time.monotonic()
     req_ring = ShmRing.attach(spec.req_ring_name, spec.req_ring_capacity)
@@ -184,6 +222,7 @@ async def _amain(spec: WorkerSpec, inbox, outbox, snapbox) -> None:
         per_tenant_limit=None,
         shed_enabled=False,
     )
+    outbox = _Outbox(outbox_conn)
     tracer = SpanTracer(enabled=spec.trace)
     metrics = ServingMetrics(base_seed=spec.base_seed, worker_id=spec.worker_id + 1)
     server = TpuServer(platform, config, tracer=tracer, metrics=metrics)
@@ -255,6 +294,7 @@ async def _amain(spec: WorkerSpec, inbox, outbox, snapbox) -> None:
         await stop.wait()
         await server.drain()
     loop.remove_reader(inbox.fileno())
+    outbox.close(timeout=5.0)
     req_ring.close()
     res_ring.close()
 

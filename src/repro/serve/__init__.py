@@ -27,7 +27,7 @@ from repro.serve.loadgen import (
 )
 from repro.serve.metrics import ServingMetrics
 from repro.serve.request import ServeRequest
-from repro.serve.server import ServeConfig, TpuServer
+from repro.serve.server import ServeConfig, TpuServer, make_server
 from repro.serve.slo import OverloadController, SloPolicy, SloTier, gold_silver_bronze
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
     "coalesce_key",
     "gold_silver_bronze",
     "lognormal_sizes",
+    "make_server",
     "poisson_times",
     "run_loadgen",
     "run_sustained",

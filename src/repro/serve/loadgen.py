@@ -39,7 +39,8 @@ from repro.host.platform import Platform
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer
 from repro.serve.arrivals import build_schedule
-from repro.serve.server import ServeConfig, TpuServer
+from repro.serve.metrics import exactly_once_violations
+from repro.serve.server import ServeConfig, TpuServer, make_server
 from repro.serve.slo import SloPolicy, gold_silver_bronze
 
 
@@ -227,14 +228,7 @@ async def _run(
             seed=spec.seed,
         )
 
-    if spec.workers:
-        # Multi-process data plane: the parent stays the admission /
-        # coalescing tier; lowering and device math run in workers.
-        from repro.mp import MpTpuServer
-
-        server = MpTpuServer(platform, config, workers=spec.workers, clock=clock)
-    else:
-        server = TpuServer(platform, config, clock=clock)
+    server = make_server(platform, config, spec.workers, clock)
 
     results: dict = {}
     start = clock()
@@ -436,12 +430,7 @@ async def _run_sustained(spec: SustainedSpec) -> SustainedResult:
         slo=policy,
         energy_aware=spec.energy_aware,
     )
-    if spec.workers:
-        from repro.mp import MpTpuServer
-
-        server = MpTpuServer(platform, config, workers=spec.workers, clock=clock)
-    else:
-        server = TpuServer(platform, config, clock=clock)
+    server = make_server(platform, config, spec.workers, clock)
 
     # One shared weight matrix per ladder size: keeps the stream
     # coalescible and the plan cache warm, like real shared-model serving.
@@ -453,11 +442,7 @@ async def _run_sustained(spec: SustainedSpec) -> SustainedResult:
 
     codes = ["?"] * spec.requests
     shed_audit: List[Tuple[int, Optional[int]]] = []
-    deliver_counts: Counter = Counter()
-
-    def observe(event: str, serve_id: int, device: int) -> None:
-        if event == "deliver":
-            deliver_counts[serve_id] += 1
+    events: List[Tuple[str, int, int]] = []
 
     def on_done(index: int):
         def callback(fut: "asyncio.Future") -> None:
@@ -473,7 +458,7 @@ async def _run_sustained(spec: SustainedSpec) -> SustainedResult:
 
     wall_start = time.monotonic()
     async with server:
-        server.pool.observer = observe
+        server.pool.observer = lambda *event: events.append(event)
         prio_of = {name: policy.tier_of(name).priority for name in spec.tier_shares}
         for index, arrival in enumerate(schedule.arrivals):
             clock.now = arrival.at
@@ -521,11 +506,9 @@ async def _run_sustained(spec: SustainedSpec) -> SustainedResult:
     lost = snapshot["outcomes"].get("lost", 0)
     if lost:
         violations.append(f"accounting lost {lost} requests")
-    duplicates = [sid for sid, n in deliver_counts.items() if n > 1]
-    if duplicates:
-        violations.append(
-            f"{len(duplicates)} serve ids delivered more than once"
-        )
+    violations.extend(
+        exactly_once_violations(events, snapshot["outcomes"]["completed"])
+    )
     for priority, floor in shed_audit:
         if floor is None or priority < floor:
             violations.append(

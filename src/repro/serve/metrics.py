@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from collections import defaultdict
-from typing import Dict, Optional
+from collections import Counter, defaultdict
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.metrics import LatencySummary, ReservoirSample
 
@@ -19,6 +19,41 @@ from repro.metrics import LatencySummary, ReservoirSample
 #: sample is exact; past it, reservoir sampling keeps percentiles honest
 #: while a sustained run's memory stays O(1).
 SAMPLE_RESERVOIR_CAPACITY = 8192
+
+
+def exactly_once_violations(
+    events: Iterable[Tuple[str, int, object]], completed: int
+) -> List[str]:
+    """Audit a ``pool.observer`` log of ``(event, serve_id, device)``.
+
+    Exactly-once delivery means: no serve id is delivered twice, none is
+    both delivered and given up on (``give-up``) or timed out
+    (``timeout``), and the ``deliver`` events add up to *completed*, the
+    server's count of requests resolved with a result.  Returns one
+    message per broken rule (empty when the log is clean).
+    """
+    delivered: Counter = Counter()
+    gave_up = set()
+    timed_out = set()
+    for event, serve_id, _device in events:
+        if event == "deliver":
+            delivered[serve_id] += 1
+        elif event == "give-up":
+            gave_up.add(serve_id)
+        elif event == "timeout":
+            timed_out.add(serve_id)
+    out = []
+    for serve_id, count in sorted(delivered.items()):
+        if count > 1:
+            out.append(f"serve_id {serve_id} delivered {count} times")
+        if serve_id in gave_up:
+            out.append(f"serve_id {serve_id} both delivered and gave up")
+        if serve_id in timed_out:
+            out.append(f"serve_id {serve_id} both delivered and timed out")
+    total = sum(delivered.values())
+    if total != completed:
+        out.append(f"deliver events ({total}) != completed ({completed})")
+    return out
 
 
 def reservoir_seed(base_seed: int, worker_id: int, stream: str) -> int:

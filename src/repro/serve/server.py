@@ -13,6 +13,14 @@ device stack (paper §6.1, Fig. 4) into a continuously-fed service:
    the locality scheduler and handed to the fault-tolerant
    :class:`~repro.serve.dispatcher.DevicePool`.
 
+Steps 1 and 2 up to coalescing are the *front-end*; everything after is
+the *data plane*.  The multi-process
+:class:`~repro.mp.server.MpTpuServer` subclasses this class and swaps
+in its worker fleet as the data plane through four hooks:
+``_start_plane`` / ``_stop_plane``, ``_launch_group`` (one coalesce
+group) and ``_preempt`` (take back not-yet-started work below a
+priority), plus its own ``drain`` and ``snapshot``.
+
 Time base: functional results are exact (computed at lowering, as in
 the batch path); *service* time is the closed-form pipeline model from
 :func:`repro.runtime.executor.group_service_seconds`, charged against
@@ -104,9 +112,6 @@ class ServeConfig:
     #: not-yet-dispatched lower-priority work.  None keeps the classic
     #: round-robin, shed-nothing behaviour.
     slo: Optional[SloPolicy] = None
-    #: Admission scheduling: "auto" picks "edf" when an SLO policy is
-    #: set and "rr" otherwise; explicit "rr"/"edf" override.
-    scheduling: str = "auto"
     #: Overload shedding armed (MP workers set False: admission already
     #: happened in the parent, so a worker must never shed).
     shed_enabled: bool = True
@@ -130,18 +135,18 @@ class TpuServer:
         shard_profile: Optional[ShardProfile] = None,
         metrics: Optional[ServingMetrics] = None,
     ) -> None:
-        self.platform = platform or Platform()
-        self.config = config or ServeConfig()
-        self._clock = clock
-        self.tracer = tracer if tracer is not None else get_tracer()
+        # ``metrics`` is injectable so a multi-process worker can use
+        # seeds derived from its worker id (see :class:`ServingMetrics`).
+        self._init_front_end(
+            platform,
+            config,
+            clock,
+            tracer,
+            metrics if metrics is not None else ServingMetrics(),
+        )
         if self.config.shard not in ("auto", "off"):
             raise ValueError(
                 f"shard must be 'auto' or 'off', got {self.config.shard!r}"
-            )
-        if self.config.scheduling not in ("auto", "rr", "edf"):
-            raise ValueError(
-                f"scheduling must be 'auto', 'rr' or 'edf', "
-                f"got {self.config.scheduling!r}"
             )
         # The integrity mode may arrive on ServeConfig (the serving-layer
         # knob) or on TensorizerOptions; the lowering side records the
@@ -165,27 +170,6 @@ class TpuServer:
             tracer=self.tracer,
             plan_cache=self.plan_cache,
         )
-        #: Injectable so a multi-process worker can use seeds derived
-        #: from its worker id (see :class:`ServingMetrics`).
-        self.metrics = metrics if metrics is not None else ServingMetrics()
-        self.slo = self.config.slo
-        scheduling = self.config.scheduling
-        if scheduling == "auto":
-            scheduling = "edf" if self.slo is not None else "rr"
-        self.admission = AdmissionController(
-            self.config.max_queue_depth,
-            self.config.per_tenant_limit,
-            scheduling=scheduling,
-        )
-        #: Hysteresis shed governor, armed only with an SLO policy (and
-        #: not in MP workers, where the parent already admitted).
-        self.overload: Optional[OverloadController] = (
-            OverloadController(self.slo, self.config.max_queue_depth)
-            if self.slo is not None and self.config.shed_enabled
-            else None
-        )
-        #: Timeout count already fed to the overload governor.
-        self._timeouts_seen = 0
         #: Per-device execution profile (pre-seeded in tests / shared
         #: across servers when passed in); the pool feeds it and the
         #: planner reads it, so split points follow measured rates.
@@ -217,6 +201,36 @@ class TpuServer:
             quarantine_seconds=self.config.quarantine_seconds,
             shard_profile=self.shard_profile,
         )
+
+    def _init_front_end(
+        self,
+        platform: Optional[Platform],
+        config: Optional[ServeConfig],
+        clock: Callable[[], float],
+        tracer: Optional[SpanTracer],
+        metrics: ServingMetrics,
+    ) -> None:
+        """Set up what a request meets before a data plane takes it."""
+        self.platform = platform or Platform()
+        self.config = config or ServeConfig()
+        self._clock = clock
+        self.tracer = tracer if tracer is not None else get_tracer()
+        self.metrics = metrics
+        self.slo = self.config.slo
+        self.admission = AdmissionController(
+            self.config.max_queue_depth,
+            self.config.per_tenant_limit,
+            scheduling="edf" if self.slo is not None else "rr",
+        )
+        #: Hysteresis shed governor, armed only with an SLO policy (and
+        #: not in MP workers, where the parent already admitted).
+        self.overload: Optional[OverloadController] = (
+            OverloadController(self.slo, self.config.max_queue_depth)
+            if self.slo is not None and self.config.shed_enabled
+            else None
+        )
+        #: Timeout count already fed to the overload governor.
+        self._timeouts_seen = 0
         self._serve_seq = 0
         self._wakeup = asyncio.Event()
         self._loop_task: Optional["asyncio.Task"] = None
@@ -225,22 +239,22 @@ class TpuServer:
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> None:
-        """Start the device pool and the dispatch loop (idempotent)."""
+        """Start the data plane and the dispatch loop (idempotent)."""
         if self._loop_task is not None:
             return
         self.started_at = self._clock()
-        self.pool.start()
+        await self._start_plane()
         self._loop_task = asyncio.get_running_loop().create_task(
             self._dispatch_loop(), name="serve-dispatch"
         )
 
     async def stop(self) -> None:
-        """Stop the dispatch loop and device pool."""
+        """Stop the dispatch loop, then the data plane."""
         if self._loop_task is not None:
             self._loop_task.cancel()
             await asyncio.gather(self._loop_task, return_exceptions=True)
             self._loop_task = None
-        await self.pool.stop()
+        await self._stop_plane()
 
     async def __aenter__(self) -> "TpuServer":
         await self.start()
@@ -281,7 +295,9 @@ class TpuServer:
         :class:`~repro.errors.RequestTimeout`.
         """
         if self._loop_task is None:
-            raise ServingError("server is not started; use 'async with TpuServer(...)'")
+            raise ServingError(
+                f"server is not started; use 'async with {type(self).__name__}(...)'"
+            )
         now = self._clock()
         self._serve_seq += 1
         serve_id = self._serve_seq
@@ -389,13 +405,15 @@ class TpuServer:
                     f"request {sreq.serve_id} expired in the admission queue"
                 )):
                     self.metrics.record_timeout(sreq)
+                    self._emit("timeout", sreq.serve_id)
             depth = self.admission.depth
             self.metrics.sample_queue_depth(depth)
             batch = self.admission.drain(self.config.max_batch)
             if self.overload is not None:
                 # Misses per turn = total timeout delta, so deadline
-                # expiries at the device queues (past admission) drive
-                # the governor's EWMA too — the slow-death signal.
+                # expiries past admission (device queues, late worker
+                # answers) drive the governor's EWMA too — the slow-death
+                # signal.
                 misses = self.metrics.timeouts - self._timeouts_seen
                 self._timeouts_seen = self.metrics.timeouts
                 self.overload.observe(depth, misses, len(batch))
@@ -407,23 +425,27 @@ class TpuServer:
                 "dispatch_batch", cat="serve", track="server", drained=len(batch)
             )
             for group in coalesce(batch, self.config.max_coalesce):
-                self._lower_and_launch(group)
+                self._launch_group(group)
             self.tracer.end(sp)
 
-    def _maybe_preempt(self, batch: List[ServeRequest]) -> None:
-        """Yank queued lower-tier groups ahead of an urgent batch.
+    def _emit(self, event: str, serve_id: int, device: int = -1) -> None:
+        """Report a front-end lifecycle event to ``pool.observer``."""
+        if self.pool.observer is not None:
+            self.pool.observer(event, serve_id, device)
 
-        Only requests whose every dispatch group is still queued (nothing
-        started) are preempted; victims are un-coalesced and re-admitted
-        through :meth:`AdmissionController.requeue` — an admitted request
-        is never rejected on its way back.  A victim keeps its lowered
-        op: nothing ran on a device, so the op is untouched and the next
-        launch reuses it instead of lowering again.
+    def _maybe_preempt(self, batch: List[ServeRequest]) -> None:
+        """Requeue not-yet-started lower-tier work ahead of an urgent batch.
+
+        The data plane's :meth:`_preempt` gives back the victims: requests
+        none of whose work has started.  They are un-coalesced and
+        re-admitted through :meth:`AdmissionController.requeue`, so an
+        admitted request is never rejected on its way back and never
+        double-delivered.  An in-process victim keeps its lowered op:
+        nothing ran on a device, so the next launch reuses it instead of
+        lowering again.
         """
-        if self.pool.in_flight == 0:
-            return
         urgent = min(s.priority for s in batch if not s.failed)
-        for sreq in self.pool.preempt(urgent):
+        for sreq in self._preempt(urgent):
             sreq.outstanding = 0
             sreq.merge = None
             sreq.preemptions += 1
@@ -432,6 +454,18 @@ class TpuServer:
                 "preempt", cat="serve", track="server", serve_id=sreq.serve_id
             )
             self.admission.requeue(sreq)
+
+    # -- in-process data plane ------------------------------------------
+
+    async def _start_plane(self) -> None:
+        self.pool.start()
+
+    async def _stop_plane(self) -> None:
+        await self.pool.stop()
+
+    def _preempt(self, urgent: int) -> List[ServeRequest]:
+        """Pull requests below priority *urgent* out of the device queues."""
+        return self.pool.preempt(urgent) if self.pool.in_flight else []
 
     def _lower_and_launch(self, group: List[ServeRequest]) -> None:
         live = [s for s in group if not s.failed]
@@ -459,14 +493,18 @@ class TpuServer:
             if not sreq.failed:
                 self._launch(sreq)
 
+    #: The data plane's hook for one coalesce group.
+    _launch_group = _lower_and_launch
+
     def _launch(self, sreq: ServeRequest) -> None:
         op = sreq.op
         groups = build_dispatch_groups(op.instrs, self.config.policy, tracer=self.tracer)
         if not groups:
             # Nothing to execute on-device (degenerate op): deliver now,
-            # through the same once-only accounting path the dispatcher
-            # uses (these two used to duplicate the latency arithmetic).
-            self.metrics.record_delivery(sreq, self._clock())
+            # through the same once-only accounting path and event the
+            # dispatcher uses.
+            if self.metrics.record_delivery(sreq, self._clock()):
+                self._emit("deliver", sreq.serve_id)
             return
         plan = None
         if self.shard_planner is not None and len(groups) >= 2:
@@ -568,3 +606,17 @@ class TpuServer:
         if self.overload is not None:
             snap["overload"] = self.overload.snapshot()
         return snap
+
+
+def make_server(
+    platform: Platform,
+    config: ServeConfig,
+    workers: int = 0,
+    clock: Callable[[], float] = time.monotonic,
+) -> TpuServer:
+    """The in-process server, or the multi-process one when *workers* > 0."""
+    if workers:
+        from repro.mp import MpTpuServer  # repro.mp imports this module
+
+        return MpTpuServer(platform, config, clock, workers=workers)
+    return TpuServer(platform, config, clock)

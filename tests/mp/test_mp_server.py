@@ -1,17 +1,20 @@
 """MpTpuServer: bit-identity, merged snapshots, exactly-once events."""
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
 
 from repro.config import SystemConfig
 from repro.edgetpu.isa import Opcode
+from repro.errors import RequestTimeout
 from repro.host.platform import Platform
 from repro.mp import MpTpuServer
 from repro.runtime.opqueue import OperationRequest, QuantMode
 from repro.runtime.tensorizer import Tensorizer
-from repro.serve.server import ServeConfig
+from repro.serve.metrics import exactly_once_violations
+from repro.serve.server import ServeConfig, make_server
 
 
 def _platform(tpus=4):
@@ -126,3 +129,71 @@ class TestMpServer:
             MpTpuServer(_platform(tpus=2), ServeConfig(), workers=3)
         with pytest.raises(ValueError):
             MpTpuServer(_platform(), ServeConfig(), workers=0)
+
+    def test_snapshot_is_prompt_while_a_worker_ships_a_large_plan(self):
+        """A plan-gossip message larger than the pipe buffer waits until
+        the parent reads it, and the parent reads no events while it
+        waits for a snapshot reply.  The worker must still answer an
+        on-loop and an off-loop snapshot promptly (not after the 30 s
+        reply timeout, with no worker payload), and the gossip must
+        still arrive.
+        """
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((64, 1024))
+        bs = [rng.standard_normal((1024, 1024)), rng.standard_normal((1024, 960))]
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            config = ServeConfig(time_scale=0.0)
+            server = MpTpuServer(_platform(tpus=1), config, workers=1)
+            seconds = []
+            async with server:
+                await server.gemm(a, bs[0])
+                t0 = time.monotonic()
+                on_loop = server.snapshot()
+                seconds.append(time.monotonic() - t0)
+                await server.gemm(a, bs[1])
+                t0 = time.monotonic()
+                off_loop = await loop.run_in_executor(None, server.snapshot)
+                seconds.append(time.monotonic() - t0)
+                for _ in range(100):
+                    if len(server._plan_blobs) == 2:
+                        break
+                    await asyncio.sleep(0.01)
+                gossiped = len(server._plan_blobs)
+                t0 = time.monotonic()
+            seconds.append(time.monotonic() - t0)  # stop()
+            return on_loop, off_loop, gossiped, seconds, server.snapshot()
+
+        on_loop, off_loop, gossiped, seconds, final = asyncio.run(run())
+        assert max(seconds) < 10.0, seconds
+        assert on_loop["plan_cache"]["misses"] == 1
+        assert off_loop["plan_cache"]["misses"] == 2
+        assert final["plan_cache"]["misses"] == 2
+        assert gossiped == 2  # no event-pipe message was lost
+        assert final["outcomes"]["completed"] == 2
+
+
+@pytest.mark.parametrize("workers", [0, 1])
+def test_admission_expiry_reports_one_observer_timeout(workers):
+    """Both data planes share the front-end that expires queued work."""
+    now = [0.0]
+    request = _gemm(1, np.random.default_rng(15))
+
+    async def run():
+        config = ServeConfig(time_scale=0.0)
+        server = make_server(_platform(tpus=1), config, workers, lambda: now[0])
+        events = []
+        async with server:
+            server.pool.observer = lambda *event: events.append(event)
+            future = server.submit_nowait(request, deadline_seconds=1.0)
+            now[0] = 2.0  # past the deadline before the loop drains it
+            with pytest.raises(RequestTimeout, match="admission queue"):
+                await future
+            await server.drain()
+            return events, server.snapshot()
+
+    events, snap = asyncio.run(run())
+    assert events == [("timeout", 1, -1)]
+    assert snap["outcomes"]["timeouts"] == 1
+    assert exactly_once_violations(events, snap["outcomes"]["completed"]) == []

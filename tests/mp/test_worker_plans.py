@@ -6,12 +6,15 @@ plans the parent gossips back.  Blobs that fail the §3.3 plan checks
 parent merges — and the worker keeps serving.
 """
 
+import multiprocessing
+import time
+
 import numpy as np
 
 from repro.config import SystemConfig
 from repro.edgetpu.isa import Opcode
 from repro.host.platform import Platform
-from repro.mp.worker import _ship_new_plans, _warm_plans, _WorkerState
+from repro.mp.worker import _Outbox, _ship_new_plans, _warm_plans, _WorkerState
 from repro.plan import serialize_plan
 from repro.plan.compiled import CompiledPlan, IntegrityTemplate
 from repro.runtime.opqueue import OperationRequest, QuantMode
@@ -19,7 +22,7 @@ from repro.serve.metrics import ServingMetrics
 from repro.serve.server import ServeConfig, TpuServer
 
 
-class _Outbox:
+class _FakeOutbox:
     def __init__(self):
         self.sent = []
 
@@ -29,7 +32,7 @@ class _Outbox:
 
 def _state():
     server = TpuServer(Platform(SystemConfig().with_tpus(2)), ServeConfig())
-    return _WorkerState(None, server, _Outbox())
+    return _WorkerState(None, server, _FakeOutbox())
 
 
 def _captured_blob():
@@ -80,3 +83,24 @@ class TestPlanGossip:
         parent = ServingMetrics()
         parent.merge_state(worker.export_state())
         assert parent.snapshot()["plan_gossip"] == {"ship_failed": 1, "parse_failed": 2}
+
+
+class TestOutbox:
+    def test_send_never_waits_for_the_reader_and_keeps_order(self):
+        # A captured plan can be far larger than the pipe buffer.  If the
+        # worker's event loop waited for the parent to read it while the
+        # parent waited to write a command to the worker, both processes
+        # would stop; only the outbox's writer thread may wait.
+        recv, conn = multiprocessing.Pipe(duplex=False)
+        outbox = _Outbox(conn)
+        plans = ("plans", [("sig", bytes(4 << 20))])
+        messages = [plans, ("done", 1, True, None, None), ("event", "dispatch", 1, 0)]
+        t0 = time.monotonic()
+        for msg in messages:
+            outbox.send(msg)
+        assert time.monotonic() - t0 < 1.0  # nothing has been read yet
+        assert [recv.recv() for _ in messages] == messages
+        outbox.close(timeout=5.0)
+        assert not outbox._thread.is_alive()
+        recv.close()
+        conn.close()

@@ -15,7 +15,7 @@ from repro.edgetpu.isa import Opcode
 from repro.host.platform import Platform
 from repro.runtime.opqueue import LoweredOperation, OperationRequest, QuantMode
 from repro.serve import ServeConfig, TpuServer
-from repro.serve.metrics import ServingMetrics
+from repro.serve.metrics import ServingMetrics, exactly_once_violations
 from repro.serve.request import ServeRequest
 
 
@@ -102,13 +102,57 @@ class TestDeliveryPathsEndToEnd:
                 )
 
             server.tensorizer.lower = lower_to_nothing
+            events = []
+            server.pool.observer = lambda *event: events.append(event)
             async with server:
                 result = await server.gemm(np.eye(2), np.eye(2))
                 await server.drain()
-                return server.metrics, result
+                return server.metrics, result, events
 
-        metrics, result = asyncio.run(main())
+        metrics, result, events = asyncio.run(main())
         assert np.array_equal(result, np.full((2, 2), 5.0))
         assert metrics.completed == 1
         assert metrics.latencies.count == 1
         assert metrics.lost == 0
+        # ... and it reports the delivery like the dispatcher does.
+        assert [e for e in events if e[0] == "deliver"] == [("deliver", 1, -1)]
+        assert exactly_once_violations(events, metrics.completed) == []
+
+
+class TestExactlyOnceAudit:
+    def test_clean_log_has_no_violations(self):
+        log = [
+            ("dispatch", 1, 0),
+            ("deliver", 1, 0),
+            ("retry", 2, 1),
+            ("give-up", 2, -1),
+            ("timeout", 3, -1),
+        ]
+        assert exactly_once_violations(log, completed=1) == []
+
+    def test_double_delivery(self):
+        log = [("deliver", 4, 0), ("deliver", 4, 1)]
+        assert exactly_once_violations(log, completed=2) == [
+            "serve_id 4 delivered 2 times"
+        ]
+
+    def test_delivered_and_given_up(self):
+        log = [("give-up", 5, -1), ("deliver", 5, 0)]
+        assert exactly_once_violations(log, completed=1) == [
+            "serve_id 5 both delivered and gave up"
+        ]
+
+    def test_delivered_and_timed_out(self):
+        log = [("deliver", 6, 0), ("timeout", 6, -1)]
+        assert exactly_once_violations(log, completed=1) == [
+            "serve_id 6 both delivered and timed out"
+        ]
+
+    def test_deliver_events_must_match_completed(self):
+        log = [("deliver", 7, 0), ("dispatch", 8, 0)]
+        assert exactly_once_violations(log, completed=2) == [
+            "deliver events (1) != completed (2)"
+        ]
+        assert exactly_once_violations([], completed=1) == [
+            "deliver events (0) != completed (1)"
+        ]

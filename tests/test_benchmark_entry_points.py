@@ -30,3 +30,13 @@ def test_every_traced_entry_point_resolves():
     finally:
         tracer.uninstall()
     assert Tensorizer.lower is lower  # originals restored
+
+
+def test_latency_probe_targets_are_defined_in_the_class_body():
+    # perfbench's ``patched()`` reads ``vars(owner)[name]``: an attribute
+    # a refactor moves to a base class would raise KeyError there.
+    from repro.serve.metrics import ServingMetrics
+    from repro.serve.server import TpuServer
+
+    assert "submit_nowait" in vars(TpuServer)
+    assert "record_delivery" in vars(ServingMetrics)
